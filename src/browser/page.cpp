@@ -228,15 +228,8 @@ class Page::FrameServices final : public script::PageServices {
 
   std::string document_cookie_read(const script::ExecContext&) override {
     page_.charge_api_call();
-    if (legacy_jar_ != nullptr) {
-      return legacy_jar_->document_cookie_string(
-          frame_.url(), page_.browser().clock().now());
-    }
     std::string out;
-    for (const auto& c : read_cookies()) {
-      if (!out.empty()) out += "; ";
-      out += c.pair();
-    }
+    cookies::append_cookie_pairs(read_cookies(), out);
     return out;
   }
   void document_cookie_write(const script::ExecContext&,
@@ -256,8 +249,8 @@ class Page::FrameServices final : public script::PageServices {
       std::function<void(std::vector<script::StoreCookie>)> callback)
       override {
     std::vector<script::StoreCookie> cookies;
-    for (const auto& c : read_cookies()) {
-      cookies.push_back({c.name, c.value});
+    for (const cookies::Cookie* c : read_cookies()) {
+      cookies.push_back({c->name, c->value});
     }
     (void)ctx;
     callback(std::move(cookies));
@@ -266,9 +259,9 @@ class Page::FrameServices final : public script::PageServices {
       const script::ExecContext&, std::string_view name,
       std::function<void(std::optional<script::StoreCookie>)> callback)
       override {
-    for (const auto& c : read_cookies()) {
-      if (c.name == name) {
-        callback(script::StoreCookie{c.name, c.value});
+    for (const cookies::Cookie* c : read_cookies()) {
+      if (c->name == name) {
+        callback(script::StoreCookie{c->name, c->value});
         return;
       }
     }
@@ -311,16 +304,21 @@ class Page::FrameServices final : public script::PageServices {
   script::Rng& rng() override { return page_.browser().rng(); }
 
  private:
-  /// RFC 6265 retrieval for the frame under the active scope; legacy mode
-  /// keeps the mutating cookies_for_url (last_access semantics unchanged).
-  std::vector<cookies::Cookie> read_cookies() {
+  /// RFC 6265 retrieval for the frame under the active scope, into the
+  /// frame's reusable buffer; legacy mode keeps the mutating retrieve()
+  /// (last_access semantics unchanged).
+  const std::vector<const cookies::Cookie*>& read_cookies() {
     const TimeMillis now = page_.browser().clock().now();
+    matched_.clear();
     if (legacy_jar_ != nullptr) {
-      return legacy_jar_->cookies_for_url(frame_.url(), now,
-                                          cookies::JarApi::kScript);
+      legacy_jar_->retrieve(frame_.url(), now, cookies::JarApi::kScript,
+                            matched_);
+    } else {
+      page_.policy_read(
+          page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript), now,
+          matched_);
     }
-    return page_.policy_read(
-        page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript), now);
+    return matched_;
   }
   void store(const net::ParsedSetCookie& parsed,
              std::optional<cookies::CookieSource> source) {
@@ -341,6 +339,7 @@ class Page::FrameServices final : public script::PageServices {
   /// Legacy per-page partition (FrameJarScope::kPage); null routes through
   /// the browser-level policy partitions (FrameJarScope::kBrowser).
   cookies::CookieJar* legacy_jar_;
+  std::vector<const cookies::Cookie*> matched_;
 };
 
 webplat::Frame& Page::create_subframe(const net::Url& url) {
@@ -381,28 +380,27 @@ policy::CookieAccessContext Page::cookie_ctx(const net::Url& subject,
   return access;
 }
 
-std::vector<cookies::Cookie> Page::policy_read(
-    const policy::CookieAccessContext& ctx, TimeMillis now) {
+void Page::policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
+                       std::vector<const cookies::Cookie*>& out) {
+  out.clear();
   const auto& engine = browser_.policy();
   const auto decision = engine.key_for_read(ctx);
-  std::vector<cookies::Cookie> out;
   if (!decision.allowed) {
     if (decision.defense_block) {
       ++browser_.policy_stats().reads_blocked;
       obs::metric_add("policy.reads_blocked");
     }
-    return out;
+    return;
   }
   for (const auto& key : decision.keys) {
     // find(), not jar(): reads must not materialise empty partitions.
     auto* jar = browser_.jar_store().find(key);
     if (jar == nullptr) continue;
-    for (auto& cookie : jar->cookies_for_url(ctx.subject_url, now, ctx.api)) {
-      if (!engine.visible(cookie, ctx)) continue;
-      out.push_back(std::move(cookie));
-    }
+    jar->retrieve(ctx.subject_url, now, ctx.api, out);
   }
-  return out;
+  std::erase_if(out, [&](const cookies::Cookie* cookie) {
+    return !engine.visible(*cookie, ctx);
+  });
 }
 
 std::optional<cookies::CookieChange> Page::policy_store(
@@ -428,12 +426,10 @@ std::optional<cookies::CookieChange> Page::policy_store(
 
 std::string Page::document_cookie_read(const script::ExecContext& ctx) {
   charge_api_call();
+  policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+              browser_.clock().now(), matched_);
   std::string value;
-  for (const auto& c : policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                                   browser_.clock().now())) {
-    if (!value.empty()) value += "; ";
-    value += c.pair();
-  }
+  cookies::append_cookie_pairs(matched_, value);
   for (auto* extension : browser_.extensions()) {
     value = extension->filter_document_cookie_read(*this, ctx, stack_,
                                                    std::move(value));
@@ -492,11 +488,11 @@ void Page::cookie_store_get_all(
   loop_.post_microtask(
       [this, ctx, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
+        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+                    browser_.clock().now(), matched_);
         std::vector<script::StoreCookie> cookies;
-        for (const auto& c :
-             policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                         browser_.clock().now())) {
-          cookies.push_back({c.name, c.value});
+        for (const cookies::Cookie* c : matched_) {
+          cookies.push_back({c->name, c->value});
         }
         for (auto* extension : browser_.extensions()) {
           extension->filter_store_read(*this, ctx, stack_, cookies);
@@ -519,11 +515,11 @@ void Page::cookie_store_get(
   loop_.post_microtask(
       [this, ctx, wanted, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
+        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
+                    browser_.clock().now(), matched_);
         std::vector<script::StoreCookie> cookies;
-        for (const auto& c :
-             policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                         browser_.clock().now())) {
-          if (c.name == wanted) cookies.push_back({c.name, c.value});
+        for (const cookies::Cookie* c : matched_) {
+          if (c->name == wanted) cookies.push_back({c->name, c->value});
         }
         // The same per-origin filter applies to single-cookie lookups.
         for (auto* extension : browser_.extensions()) {
@@ -694,11 +690,9 @@ net::HttpResponse Page::fetch(net::HttpRequest request,
   // additionally consult the request's partitions.
   const auto http_ctx = cookie_ctx(request.url, cookies::JarApi::kHttp);
   {
+    policy_read(http_ctx, now, matched_);
     std::string cookie_header;
-    for (const auto& c : policy_read(http_ctx, now)) {
-      if (!cookie_header.empty()) cookie_header += "; ";
-      cookie_header += c.pair();
-    }
+    cookies::append_cookie_pairs(matched_, cookie_header);
     if (!cookie_header.empty()) request.headers.set("Cookie", cookie_header);
   }
 

@@ -123,12 +123,14 @@ class Page final : public script::PageServices {
   policy::CookieAccessContext cookie_ctx(const net::Url& subject,
                                          cookies::JarApi api) const;
 
-  /// Retrieval through the active policy: consults every partition
-  /// key_for_read names, applies the per-cookie visibility filter, and
-  /// preserves the single-jar path byte-for-byte under NoDefense. `now` is
-  /// passed explicitly so fetch() can pin the request-entry timestamp.
-  std::vector<cookies::Cookie> policy_read(
-      const policy::CookieAccessContext& ctx, TimeMillis now);
+  /// Retrieval through the active policy: fills the caller's `out` with
+  /// the cookies of every partition key_for_read names, in key order, then
+  /// drops those the engine's visibility filter hides — preserving the
+  /// single-jar path byte-for-byte under NoDefense. Nothing is copied; the
+  /// pointers are valid until the next jar change. `now` is passed
+  /// explicitly so fetch() can pin the request-entry timestamp.
+  void policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
+                   std::vector<const cookies::Cookie*>& out);
 
   /// Storage through the active policy; returns the jar's CookieChange, or
   /// nullopt when the policy refused the store (defense-caused refusals are
@@ -157,6 +159,9 @@ class Page final : public script::PageServices {
   /// Partitioned cookie jars for cross-origin subframes, keyed by the
   /// subframe origin (Safari-ITP/Total-Cookie-Protection style, §2.1).
   std::map<std::string, cookies::CookieJar> partitioned_jars_;
+  /// policy_read's output buffer, reused by every main-frame read. Each
+  /// reader consumes it before anything else can touch a jar.
+  std::vector<const cookies::Cookie*> matched_;
 };
 
 }  // namespace cg::browser

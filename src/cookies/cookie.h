@@ -52,9 +52,6 @@ struct Cookie {
   bool same_identity(const Cookie& other) const {
     return name == other.name && domain == other.domain && path == other.path;
   }
-
-  /// "name=value" fragment used by document.cookie serialisation.
-  std::string pair() const { return name + "=" + value; }
 };
 
 }  // namespace cg::cookies

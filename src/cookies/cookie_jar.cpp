@@ -1,6 +1,8 @@
 #include "cookies/cookie_jar.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <type_traits>
 
 #include "net/psl.h"
 #include "net/set_cookie.h"
@@ -195,49 +197,92 @@ bool retrieval_match(const Cookie& c, const net::Url& url, TimeMillis now,
   return path_matches(url.path(), c.path);
 }
 
-// §5.4 sort: longer paths first, then earlier creation.
-void sort_for_retrieval(std::vector<Cookie>& out) {
-  std::sort(out.begin(), out.end(), [](const Cookie& a, const Cookie& b) {
-    if (a.path.size() != b.path.size()) return a.path.size() > b.path.size();
-    if (a.creation_time != b.creation_time) {
-      return a.creation_time < b.creation_time;
-    }
-    return a.creation_index < b.creation_index;
-  });
+// §5.4 sort: longer paths first, then earlier creation. creation_index is
+// unique within a jar, so the order is total and any sort reproduces it.
+bool retrieval_before(const Cookie* a, const Cookie* b) {
+  if (a->path.size() != b->path.size()) {
+    return a->path.size() > b->path.size();
+  }
+  if (a->creation_time != b->creation_time) {
+    return a->creation_time < b->creation_time;
+  }
+  return a->creation_index < b->creation_index;
+}
+
+// The matcher behind retrieve() and peek(): appends pointers to the
+// matching cookies and sorts only the appended range. Through a non-const
+// vector (retrieve) it also refreshes last_access.
+template <typename Cookies>
+void collect_matches(Cookies& cookies, const net::Url& url, TimeMillis now,
+                     JarApi api, std::vector<const Cookie*>& out) {
+  const std::size_t first = out.size();
+  for (auto& c : cookies) {
+    if (!retrieval_match(c, url, now, api)) continue;
+    if constexpr (!std::is_const_v<Cookies>) c.last_access = now;
+    out.push_back(&c);
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            retrieval_before);
+}
+
+std::vector<Cookie> copies_of(const std::vector<const Cookie*>& matched) {
+  std::vector<Cookie> out;
+  out.reserve(matched.size());
+  for (const Cookie* c : matched) out.push_back(*c);
+  return out;
 }
 
 }  // namespace
 
+void CookieJar::retrieve(const net::Url& url, TimeMillis now, JarApi api,
+                         std::vector<const Cookie*>& out) {
+  collect_matches(cookies_, url, now, api, out);
+}
+
+void CookieJar::peek(const net::Url& url, TimeMillis now, JarApi api,
+                     std::vector<const Cookie*>& out) const {
+  collect_matches(cookies_, url, now, api, out);
+}
+
+std::size_t CookieJar::count_for_url(const net::Url& url, TimeMillis now,
+                                     JarApi api) const {
+  return static_cast<std::size_t>(
+      std::count_if(cookies_.begin(), cookies_.end(), [&](const Cookie& c) {
+        return retrieval_match(c, url, now, api);
+      }));
+}
+
 std::vector<Cookie> CookieJar::cookies_for_url(const net::Url& url,
                                                TimeMillis now, JarApi api) {
-  std::vector<Cookie> out;
-  for (auto& c : cookies_) {
-    if (!retrieval_match(c, url, now, api)) continue;
-    c.last_access = now;
-    out.push_back(c);
-  }
-  sort_for_retrieval(out);
-  return out;
+  std::vector<const Cookie*> matched;
+  retrieve(url, now, api, matched);
+  return copies_of(matched);
 }
 
 std::vector<Cookie> CookieJar::peek_for_url(const net::Url& url,
                                             TimeMillis now, JarApi api) const {
-  std::vector<Cookie> out;
-  for (const auto& c : cookies_) {
-    if (retrieval_match(c, url, now, api)) out.push_back(c);
-  }
-  sort_for_retrieval(out);
-  return out;
+  std::vector<const Cookie*> matched;
+  peek(url, now, api, matched);
+  return copies_of(matched);
 }
 
 std::string CookieJar::document_cookie_string(const net::Url& url,
                                               TimeMillis now) {
+  std::vector<const Cookie*> matched;
+  retrieve(url, now, JarApi::kScript, matched);
   std::string out;
-  for (const auto& c : cookies_for_url(url, now, JarApi::kScript)) {
-    if (!out.empty()) out += "; ";
-    out += c.pair();
-  }
+  append_cookie_pairs(matched, out);
   return out;
+}
+
+void append_cookie_pairs(const std::vector<const Cookie*>& cookies,
+                         std::string& out) {
+  for (const Cookie* c : cookies) {
+    if (!out.empty()) out += "; ";
+    out += c->name;
+    out += '=';
+    out += c->value;
+  }
 }
 
 std::optional<Cookie> CookieJar::find(std::string_view name,

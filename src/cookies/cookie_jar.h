@@ -63,20 +63,38 @@ class CookieJar {
   CookieChange set_from_string(const net::Url& document_url,
                                std::string_view cookie_line, TimeMillis now);
 
-  /// Cookies matching `url` per RFC 6265 §5.4 (domain-match, path-match,
-  /// secure channel check), HttpOnly filtered out for JarApi::kScript.
-  /// Sorted: longer paths first, then earlier creation. Updates last_access.
+  /// The one RFC 6265 §5.4 matcher every retrieval goes through: appends
+  /// to `out` the cookies matching `url` (domain-match, path-match, secure
+  /// channel check; HttpOnly filtered out for JarApi::kScript), sorted
+  /// longer paths first, then earlier creation. Entries already in `out`
+  /// keep their place, so reading several partitions in turn concatenates
+  /// their orders. Updates last_access of every match. No cookie is
+  /// copied; the pointers stay valid until the jar is next modified.
+  void retrieve(const net::Url& url, TimeMillis now, JarApi api,
+                std::vector<const Cookie*>& out);
+
+  /// Read-only twin of retrieve(): identical matching and sort order, but
+  /// does NOT update last_access. Measurement code must use this (or
+  /// count_for_url) — an observer read that refreshed last_access would
+  /// perturb the LRU eviction order it is trying to observe.
+  void peek(const net::Url& url, TimeMillis now, JarApi api,
+            std::vector<const Cookie*>& out) const;
+
+  /// How many cookies peek() would return; read-only, nothing copied.
+  std::size_t count_for_url(const net::Url& url, TimeMillis now,
+                            JarApi api) const;
+
+  /// retrieve() as copies, for callers that keep cookies past the next
+  /// jar change. Updates last_access.
   std::vector<Cookie> cookies_for_url(const net::Url& url, TimeMillis now,
                                       JarApi api);
 
-  /// Read-only variant of cookies_for_url: identical matching and sort
-  /// order, but does NOT update last_access. Measurement code must use this
-  /// — an observer read that refreshed last_access would perturb the
-  /// LRU eviction order it is trying to observe.
+  /// peek() as copies; does NOT update last_access.
   std::vector<Cookie> peek_for_url(const net::Url& url, TimeMillis now,
                                    JarApi api) const;
 
-  /// The exact string document.cookie returns: "a=1; b=2".
+  /// The exact string document.cookie returns: "a=1; b=2". Updates
+  /// last_access like any script read.
   std::string document_cookie_string(const net::Url& url, TimeMillis now);
 
   /// Looks up a live cookie by identity.
@@ -98,5 +116,11 @@ class CookieJar {
   std::vector<Cookie> cookies_;
   std::uint64_t next_index_ = 0;
 };
+
+/// Appends the document.cookie / `Cookie` header serialisation of
+/// `cookies` — "a=1; b=2", in the given order — to `out`, separated from
+/// any text already there by "; ".
+void append_cookie_pairs(const std::vector<const Cookie*>& cookies,
+                         std::string& out);
 
 }  // namespace cg::cookies
