@@ -19,6 +19,7 @@
 #include "fault/fault.h"
 #include "net/clock.h"
 #include "net/dns.h"
+#include "net/psl.h"
 #include "net/url.h"
 #include "policy/partition_policy.h"
 #include "script/rng.h"
@@ -112,6 +113,13 @@ class Browser {
   net::DnsResolver& dns() { return dns_; }
   const net::DnsResolver& dns() const { return dns_; }
 
+  /// net::etld_plus_one(host), memoized for this visit: every cookie
+  /// access, request and script inclusion asks for a site, but a visit
+  /// only meets a few dozen hosts.
+  const std::string& site_of(std::string_view host) {
+    return sites_.site_of(host);
+  }
+
   /// Active partitioning policy (never null; NoDefense by default — the
   /// status-quo single jar, byte-identical to the pre-policy simulator).
   /// Engines are stateless and shared; null resets to NoDefense.
@@ -157,6 +165,7 @@ class Browser {
   cookies::PartitionedJarStore jar_store_;
   NetworkLayer network_;
   net::DnsResolver dns_;
+  net::SiteCache sites_;
   const ScriptCatalog* catalog_ = nullptr;
   DocumentProvider document_provider_;
   std::vector<Extension*> extensions_;

@@ -32,13 +32,14 @@ net::HttpResponse NetworkLayer::dispatch(
   net::HttpResponse response;
   if (const auto it = hosts_.find(request.url.host()); it != hosts_.end()) {
     response = it->second(request);
+  } else if (const auto site_it =
+                 sites_.empty() ? sites_.end()
+                                : sites_.find(net::etld_plus_one(
+                                      request.url.host()));
+             site_it != sites_.end()) {
+    response = site_it->second(request);
   } else {
-    const std::string site = net::etld_plus_one(request.url.host());
-    if (const auto site_it = sites_.find(site); site_it != sites_.end()) {
-      response = site_it->second(request);
-    } else {
-      response.status = 200;
-    }
+    response.status = 200;
   }
   if (response_hook_) response_hook_(request, response);
   return response;

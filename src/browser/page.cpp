@@ -47,7 +47,7 @@ class Page::FrameGuard {
 Page::Page(Browser& browser, net::Url url)
     : browser_(browser),
       url_(url),
-      top_level_site_(net::etld_plus_one(url_.host())),
+      top_level_site_(browser.site_of(url_.host())),
       main_frame_(std::move(url), nullptr),
       loop_(&browser.clock()) {}
 
@@ -128,8 +128,8 @@ script::ExecContext Page::make_context(
   }
   if (!spec.is_inline) {
     ctx.script_url = expand_site(spec.url_template, url_.host());
-    ctx.script_domain = net::etld_plus_one(
-        net::Url::must_parse(ctx.script_url).host());
+    ctx.script_domain =
+        browser_.site_of(net::Url::must_parse(ctx.script_url).host());
   } else {
     ctx.inline_script = true;
   }
@@ -374,7 +374,10 @@ policy::CookieAccessContext Page::cookie_ctx(const net::Url& subject,
   policy::CookieAccessContext access;
   access.top_level_site = top_level_site_;
   access.subject_url = subject;
-  access.cross_site = !net::same_site(subject, url_);
+  // net::same_site(subject, url_), with both sides memoized: this page's
+  // site is already known.
+  const std::string& subject_site = browser_.site_of(subject.host());
+  access.cross_site = subject_site.empty() || subject_site != top_level_site_;
   access.script_origin = policy::script_origin_from_stack(stack_);
   access.api = api;
   return access;

@@ -40,6 +40,9 @@ class Page final : public script::PageServices {
   fault::FailureClass load_failure() const { return load_failure_; }
 
   const net::Url& url() const { return url_; }
+  /// eTLD+1 of url() — the top-level site every access on this page is
+  /// judged against.
+  const std::string& site() const { return top_level_site_; }
   Browser& browser() { return browser_; }
   webplat::Frame& main_frame() { return main_frame_; }
   webplat::EventLoop& loop() { return loop_; }

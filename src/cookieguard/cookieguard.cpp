@@ -127,7 +127,7 @@ std::string CookieGuard::filter_document_cookie_read(
     note_decision(page, "cookieguard.inline_denied");
     return std::string{};
   }
-  const std::string site = page.url().site();
+  const std::string& site = page.site();
   if (config_.site_owner_full_access && actor == site) return value;
 
   const auto dataset = store_.snapshot();  // background round trip
@@ -160,7 +160,7 @@ void CookieGuard::filter_store_read(browser::Page& page,
                                     std::vector<script::StoreCookie>& cookies) {
   (void)ctx;
   const std::string actor = resolve_actor(stack, page);
-  const std::string site = page.url().site();
+  const std::string& site = page.site();
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return;
     ++stats_.inline_denied;
@@ -205,7 +205,7 @@ bool CookieGuard::allow_document_cookie_write(browser::Page& page,
   const std::string name = cookie_name_of(cookie_line);
   const std::string creator = bus_.request("lookup", name);
   if (creator.empty()) return true;  // new cookie: creation is always allowed
-  const std::string site = page.url().site();
+  const std::string& site = page.site();
   if (may_access(actor, creator, site)) return true;
   ++stats_.writes_blocked;
   note_decision(page, "cookieguard.writes_blocked");
@@ -229,7 +229,7 @@ bool CookieGuard::allow_store_write(browser::Page& page,
   }
   const std::string creator = bus_.request("lookup", std::string(cookie_name));
   if (creator.empty()) return true;
-  if (may_access(actor, creator, page.url().site())) return true;
+  if (may_access(actor, creator, page.site())) return true;
   ++stats_.writes_blocked;
   note_decision(page, "cookieguard.writes_blocked");
   return false;
@@ -253,7 +253,7 @@ void CookieGuard::on_script_cookie_change(browser::Page& page,
       // by the first party (they can only have been allowed with
       // deny_inline_scripts off).
       bus_.request("record", state->name + '\x1f' +
-                                 (actor.empty() ? page.url().site() : actor));
+                                 (actor.empty() ? page.site() : actor));
       note_decision(page, "cookieguard.partition_records");
       break;
     case Type::kDeleted:
@@ -271,7 +271,6 @@ void CookieGuard::on_headers_received(
     browser::Page& page, const net::HttpRequest& request,
     const net::HttpResponse& response,
     const std::vector<cookies::CookieChange>& changes) {
-  (void)page;
   (void)response;
   for (const auto& change : changes) {
     const cookies::Cookie* state =
@@ -284,7 +283,8 @@ void CookieGuard::on_headers_received(
         // Header (re-)sets attribute the cookie to the responding site —
         // including re-sets of script-created cookies (the reload
         // re-attribution behaviour discussed in §7.2).
-        bus_.request("record", state->name + '\x1f' + request.url.site());
+        bus_.request("record", state->name + '\x1f' +
+                                   page.browser().site_of(request.url.host()));
         note_decision(page, "cookieguard.partition_records");
         break;
       case Type::kDeleted:

@@ -1,7 +1,6 @@
 #include "instrument/recorder.h"
 
 #include "browser/page.h"
-#include "net/psl.h"
 #include "obs/trace.h"
 
 namespace cg::instrument {
@@ -23,7 +22,7 @@ void Recorder::on_page_start(browser::Page& page) {
   if (log_ == nullptr) return;
   if (log_->site_host.empty()) {
     log_->site_host = page.url().host();
-    log_->site = page.url().site();
+    log_->site = page.site();
   }
   ++log_->pages_visited;
   // Hook DOM mutations for the §8 pilot: record cross-domain modifications.
@@ -146,9 +145,11 @@ void Recorder::on_headers_received(
     record.cookie_name = state->name;
     record.value = change.current ? change.current->value : "";
     record.response_host = request.url.host();
-    record.setter_domain = request.url.site();
+    record.setter_domain = page.browser().site_of(request.url.host());
     record.http_only = state->http_only;
-    record.first_party = net::same_site(request.url, page.url());
+    // net::same_site(request.url, page.url()) through the visit's memo.
+    record.first_party = !record.setter_domain.empty() &&
+                         record.setter_domain == page.site();
     record.change_type = change.type;
     record.time = page.now();
     log_->http_sets.push_back(std::move(record));
@@ -166,7 +167,8 @@ void Recorder::on_request_will_be_sent(browser::Page& page,
   if (initiator == nullptr) return;
   const auto who = ext::attribute_stack(stack, mode_);
   log_->requests.push_back({request.url.spec(), request.url.host(),
-                            request.url.site(), who.script_url, who.domain,
+                            page.browser().site_of(request.url.host()),
+                            who.script_url, who.domain,
                             request.destination, page.now()});
   log_->has_request_logs = true;
 }
