@@ -31,10 +31,18 @@ TimeMillis skewed_latency(TimeMillis base, TimeMillis jitter,
 
 class Page::FrameGuard {
  public:
-  FrameGuard(webplat::StackTrace& stack, std::string script_url,
+  /// Pushes a frame running `ctx`'s code: its script URL (none for inline
+  /// scripts) and, as the frame's origin, the script_domain the context
+  /// already resolved.
+  FrameGuard(webplat::StackTrace& stack, const script::ExecContext& ctx,
              std::string function_name)
       : stack_(stack) {
-    stack_.push({std::move(script_url), std::move(function_name), false});
+    if (ctx.inline_script || ctx.script_url.empty()) {
+      stack_.push({"", std::move(function_name), false, std::nullopt});
+    } else {
+      stack_.push({ctx.script_url, std::move(function_name), false,
+                   ctx.script_domain});
+    }
   }
   ~FrameGuard() { stack_.pop(); }
   FrameGuard(const FrameGuard&) = delete;
@@ -128,8 +136,8 @@ script::ExecContext Page::make_context(
   }
   if (!spec.is_inline) {
     ctx.script_url = expand_site(spec.url_template, url_.host());
-    ctx.script_domain =
-        browser_.site_of(net::Url::must_parse(ctx.script_url).host());
+    ctx.url = net::Url::must_parse(ctx.script_url);
+    ctx.script_domain = browser_.site_of(ctx.url.host());
   } else {
     ctx.inline_script = true;
   }
@@ -164,7 +172,7 @@ void Page::include_script(std::string_view script_id,
             static_cast<std::uint64_t>(config.script_fetch_jitter_ms) + 1)));
     net::HttpRequest request;
     request.method = net::HttpMethod::kGet;
-    request.url = net::Url::must_parse(ctx.script_url);
+    request.url = ctx.url;
     request.destination = net::RequestDestination::kScript;
     request.initiator =
         includer != nullptr ? includer->script_url : url_.spec();
@@ -190,7 +198,7 @@ void Page::include_script(std::string_view script_id,
   // Inline scripts get no URL on the stack, but are distinguishable as DOM
   // elements — real extensions can hash their source text. The frame's
   // function name carries that content identity for signature matching.
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url,
+  FrameGuard guard(stack_, ctx,
                    ctx.inline_script ? "inline:" + ctx.script_id : "<top>");
   ++inclusion_depth_;
   script::run_program(spec->ops, ctx, *this);
@@ -203,7 +211,7 @@ void Page::run_catalog_script(std::string_view script_id) {
 
 void Page::run_as(const script::ExecContext& ctx,
                   const std::function<void(script::PageServices&)>& body) {
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url, "<adhoc>");
+  FrameGuard guard(stack_, ctx, "<adhoc>");
   body(*this);
 }
 
@@ -349,8 +357,7 @@ webplat::Frame& Page::create_subframe(const net::Url& url) {
 void Page::run_in_frame(
     webplat::Frame& frame, const script::ExecContext& ctx,
     const std::function<void(script::PageServices&)>& body) {
-  FrameGuard guard(stack_, ctx.inline_script ? "" : ctx.script_url,
-                   "<frame>");
+  FrameGuard guard(stack_, ctx, "<frame>");
   if (frame.same_origin(main_frame_)) {
     // Same-origin frames share the first-party jar and interception stack.
     body(*this);
@@ -651,13 +658,13 @@ void Page::inject_script(const script::ExecContext& includer,
   include_script(script_id, script::Inclusion::kIndirect, &includer);
 }
 
-void Page::set_timeout(const script::ExecContext& ctx, TimeMillis delay_ms,
+void Page::set_timeout(const script::ExecContext&, TimeMillis delay_ms,
                        std::function<void()> callback,
                        std::string_view helper_script_url) {
   const webplat::StackTrace scheduling = stack_;
   std::string helper(helper_script_url);
   loop_.post_task(
-      [this, ctx, callback = std::move(callback), helper]() {
+      [this, callback = std::move(callback), helper]() {
         // Fresh stack for the new task; async stack traces (when enabled)
         // recover the scheduling frames, marked async.
         webplat::StackTrace task_stack;
@@ -670,7 +677,6 @@ void Page::set_timeout(const script::ExecContext& ctx, TimeMillis delay_ms,
         }
         callback();
         stack_ = saved;
-        (void)ctx;
       },
       delay_ms, scheduling);
 }

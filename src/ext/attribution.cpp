@@ -1,35 +1,33 @@
 #include "ext/attribution.h"
 
-#include "net/psl.h"
-#include "net/url.h"
-
 namespace cg::ext {
 
 Attribution attribute_stack(const webplat::StackTrace& stack,
                             AttributionMode mode) {
   Attribution out;
-  std::optional<std::string> url;
+  const webplat::StackFrame* frame = nullptr;
   switch (mode) {
     case AttributionMode::kLastExternal:
-      url = stack.last_external_script_url();
+      frame = stack.last_external_frame();
       break;
     case AttributionMode::kTopFrameOnly: {
       // Ignore async-recovered frames: only a genuine top frame counts.
       const auto& frames = stack.frames();
       if (!frames.empty() && !frames.back().async &&
           !frames.back().script_url.empty()) {
-        url = frames.back().script_url;
+        frame = &frames.back();
       }
       break;
     }
   }
-  if (!url) {
+  if (frame == nullptr) {
     out.unknown = true;
     return out;
   }
-  out.script_url = *url;
-  if (const auto parsed = net::Url::parse(*url)) {
-    out.domain = parsed->site();
+  out.script_url = frame->script_url;
+  // The frame resolved its origin when it was pushed; no URL parse here.
+  if (frame->script_origin) {
+    out.domain = *frame->script_origin;
   } else {
     out.unknown = true;
   }

@@ -29,7 +29,8 @@ struct Attribution {
   bool unknown = false;
 };
 
-/// Attributes an action to a script origin from its capture-time stack.
+/// Attributes an action to a script origin from its capture-time stack,
+/// reading the origin each frame cached when it was pushed.
 Attribution attribute_stack(const webplat::StackTrace& stack,
                             AttributionMode mode = AttributionMode::kLastExternal);
 

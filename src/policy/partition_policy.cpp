@@ -1,7 +1,5 @@
 #include "policy/partition_policy.h"
 
-#include "net/psl.h"
-
 namespace cg::policy {
 namespace {
 
@@ -163,11 +161,9 @@ std::optional<PolicyKind> parse_policy(std::string_view name) {
 }
 
 std::string script_origin_from_stack(const webplat::StackTrace& stack) {
-  const auto url = stack.last_external_script_url();
-  if (!url) return {};
-  const auto parsed = net::Url::parse(*url);
-  if (!parsed) return {};
-  return net::etld_plus_one(parsed->host());
+  const webplat::StackFrame* frame = stack.last_external_frame();
+  if (frame == nullptr) return {};
+  return frame->script_origin.value_or(std::string());
 }
 
 const PartitionPolicy& engine_for(PolicyKind kind) {

@@ -76,7 +76,8 @@ struct CookieAccessContext {
 };
 
 /// Derives the acting script origin for a context from the capture-time
-/// stack, the same attribution the paper's extensions use (§6.2).
+/// stack, the same attribution the paper's extensions use (§6.2): the
+/// origin the last external frame cached when it was pushed.
 std::string script_origin_from_stack(const webplat::StackTrace& stack);
 
 /// Outcome of a store-key decision.

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "net/url.h"
+
 namespace cg::script {
 
 /// Script taxonomy used by the corpus and the analysis (paper §5.1 reports
@@ -31,10 +33,18 @@ bool is_ad_or_tracking(Category category);
 /// vs dynamic insertion by another script).
 enum class Inclusion { kDirect, kIndirect };
 
+/// Built once per script inclusion (browser::Page::make_context), which
+/// parses script_url once: the script fetch reuses `url`, and every stack
+/// frame the script runs in carries script_domain as its origin, so
+/// attribution never re-parses the URL.
 struct ExecContext {
   std::string script_id;      // catalog id ("" for ad-hoc/test scripts)
   std::string script_url;     // resolved URL; empty for inline scripts
-  std::string script_domain;  // eTLD+1 of script_url; empty for inline
+  /// script_url parsed; default-constructed for inline and ad-hoc contexts.
+  net::Url url;
+  /// eTLD+1 of script_url; empty for inline. Must agree with script_url:
+  /// frames pushed for this context take it as their origin.
+  std::string script_domain;
   bool inline_script = false;
   Category category = Category::kFirstParty;
   Inclusion inclusion = Inclusion::kDirect;

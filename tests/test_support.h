@@ -27,8 +27,8 @@ inline script::ScriptSpec spec_of(std::string id, std::string url,
 inline script::ExecContext context_for_url(std::string url) {
   script::ExecContext ctx;
   ctx.script_url = std::move(url);
-  ctx.script_domain =
-      net::etld_plus_one(net::Url::must_parse(ctx.script_url).host());
+  ctx.url = net::Url::must_parse(ctx.script_url);
+  ctx.script_domain = ctx.url.site();
   return ctx;
 }
 
