@@ -2,9 +2,14 @@
 // overwrite/delete semantics, document.cookie serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cookies/cookie_jar.h"
 #include "net/http_date.h"
 #include "net/url.h"
+#include "script/rng.h"
 
 namespace cg::cookies {
 namespace {
@@ -354,6 +359,178 @@ TEST(CookieJarLimitsTest, ExpiredEvictedBeforeLiveOnes) {
   EXPECT_EQ(jar.size(), CookieJar::kMaxCookies);
   EXPECT_FALSE(jar.find("dying", "www.example.com", "/").has_value());
   EXPECT_TRUE(jar.find("c1", "www.example.com", "/").has_value());
+}
+
+// ---- differential: the pointer matcher vs a copy-and-sort reference ------
+
+// The retrieval the jar performed before it matched pointers, restated
+// independently: filter by RFC 6265 §5.4, copy each match (refreshing the
+// original's last_access when `touch`), then sort the copies.
+std::vector<Cookie> reference_retrieval(std::vector<Cookie>& jar,
+                                        const Url& url, TimeMillis now,
+                                        JarApi api, bool touch) {
+  const auto domain_ok = [&](const Cookie& c) {
+    const std::string& host = url.host();
+    if (c.host_only || host == c.domain) return host == c.domain;
+    return host.size() > c.domain.size() && host.ends_with(c.domain) &&
+           host[host.size() - c.domain.size() - 1] == '.';
+  };
+  const auto path_ok = [&](const Cookie& c) {
+    const std::string& path = url.path();
+    if (path == c.path) return true;
+    if (!path.starts_with(c.path)) return false;
+    return c.path.ends_with('/') || path[c.path.size()] == '/';
+  };
+  std::vector<Cookie> out;
+  for (auto& c : jar) {
+    if (c.expires && *c.expires <= now) continue;
+    if (c.http_only && api == JarApi::kScript) continue;
+    if (c.secure && !url.is_secure()) continue;
+    if (!domain_ok(c) || !path_ok(c)) continue;
+    if (touch) c.last_access = now;
+    out.push_back(c);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Cookie& a, const Cookie& b) {
+                     if (a.path.size() != b.path.size()) {
+                       return a.path.size() > b.path.size();
+                     }
+                     if (a.creation_time != b.creation_time) {
+                       return a.creation_time < b.creation_time;
+                     }
+                     return a.creation_index < b.creation_index;
+                   });
+  return out;
+}
+
+std::string reference_join(const std::vector<Cookie>& cookies) {
+  std::string out;
+  for (const auto& c : cookies) {
+    if (!out.empty()) out += "; ";
+    out += c.name + "=" + c.value;
+  }
+  return out;
+}
+
+// Identity plus every field a retrieval can change.
+void expect_same_cookies(const std::vector<Cookie>& want,
+                         const std::vector<const Cookie*>& got,
+                         const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].name, got[i]->name) << where << " #" << i;
+    EXPECT_EQ(want[i].value, got[i]->value) << where << " #" << i;
+    EXPECT_EQ(want[i].domain, got[i]->domain) << where << " #" << i;
+    EXPECT_EQ(want[i].path, got[i]->path) << where << " #" << i;
+    EXPECT_EQ(want[i].last_access, got[i]->last_access) << where << " #" << i;
+  }
+}
+
+void expect_same_jar_state(const std::vector<Cookie>& want,
+                           const std::vector<Cookie>& got,
+                           const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(want[i].same_identity(got[i])) << where << " #" << i;
+    EXPECT_EQ(want[i].last_access, got[i].last_access) << where << " #" << i;
+  }
+}
+
+TEST(CookieRetrievalDifferentialTest, MatcherEqualsCopyAndSortReference) {
+  // Hosts under one registrable domain plus an unrelated one, so host-only
+  // and Domain cookies match some reads and not others.
+  const std::vector<std::string> hosts = {"example.com", "www.example.com",
+                                          "a.b.example.com", "other.org"};
+  const std::vector<std::string> paths = {"/", "/shop", "/shop/",
+                                          "/shop/cart", "/shopping", "/a/b/c"};
+  const std::vector<std::string> cookie_paths = {"", "/", "/shop", "/shop/",
+                                                 "/shop/cart", "/a", "/a/b"};
+  const auto random_url = [&](script::Rng& rng) {
+    return Url::must_parse((rng.below(4) == 0 ? "http://" : "https://") +
+                           hosts[rng.below(hosts.size())] +
+                           paths[rng.below(paths.size())]);
+  };
+
+  bool evicted = false;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    script::Rng rng(0xD1FFULL * seed);
+    CookieJar jar;
+    TimeMillis now = kNow;
+    // 260 names against a 180-cookie cap: late seeds evict past the limit
+    // while earlier reads have reordered last_access.
+    const std::size_t names = seed % 3 == 0 ? 260 : 24;
+    for (int op = 0; op < 600; ++op) {
+      // Many ops share a timestamp: creation-time ties fall to
+      // creation_index.
+      now += static_cast<TimeMillis>(rng.below(3));
+      const std::string where =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      if (rng.below(3) != 0) {
+        net::ParsedSetCookie parsed;
+        parsed.name = "c" + std::to_string(rng.below(names));
+        parsed.value = std::to_string(rng.below(1000));
+        parsed.path = cookie_paths[rng.below(cookie_paths.size())];
+        if (rng.below(3) == 0) parsed.domain = "example.com";
+        parsed.secure = rng.below(4) == 0;
+        const JarApi api = rng.below(3) == 0 ? JarApi::kHttp : JarApi::kScript;
+        parsed.http_only = api == JarApi::kHttp && rng.below(2) == 0;
+        if (rng.below(5) == 0) {
+          // Short-lived, or an immediate delete.
+          parsed.max_age_ms = static_cast<TimeMillis>(rng.below(40)) - 10;
+        }
+        const std::size_t before = jar.size();
+        const auto change = jar.set(random_url(rng), parsed, now, api);
+        evicted |= change.type == CookieChange::Type::kCreated &&
+                   jar.size() <= before;
+        continue;
+      }
+      const Url url = random_url(rng);
+      const JarApi api = rng.below(2) == 0 ? JarApi::kHttp : JarApi::kScript;
+      std::vector<Cookie> model = jar.all();
+
+      // Read-only: same cookies, same order, nothing touched.
+      std::vector<const Cookie*> peeked;
+      jar.peek(url, now, api, peeked);
+      expect_same_cookies(reference_retrieval(model, url, now, api, false),
+                          peeked, where + " peek");
+      EXPECT_EQ(jar.count_for_url(url, now, api), peeked.size()) << where;
+      expect_same_jar_state(model, jar.all(), where + " after peek");
+
+      // Mutating read: the reference's copies carry the refreshed
+      // last_access, and so must the jar.
+      const auto want = reference_retrieval(model, url, now, api, true);
+      if (api == JarApi::kScript) {
+        EXPECT_EQ(jar.document_cookie_string(url, now), reference_join(want))
+            << where;
+      } else {
+        std::vector<const Cookie*> got;
+        jar.retrieve(url, now, api, got);
+        expect_same_cookies(want, got, where + " retrieve");
+        std::string header;
+        append_cookie_pairs(got, header);
+        EXPECT_EQ(header, reference_join(want)) << where;
+      }
+      expect_same_jar_state(model, jar.all(), where + " after read");
+    }
+  }
+  EXPECT_TRUE(evicted) << "no seed pushed a jar past kMaxCookies";
+}
+
+TEST(CookieRetrievalDifferentialTest, RetrieveAppendsAfterExistingEntries) {
+  // Partition reads concatenate: entries already in the buffer stay first
+  // and only the appended range is sorted.
+  CookieJar first;
+  CookieJar second;
+  const auto url = Url::must_parse("https://www.example.com/shop/cart");
+  first.set_from_string(url, "a=1; Path=/", kNow);
+  second.set_from_string(url, "b=2; Path=/shop", kNow + 1);
+  second.set_from_string(url, "c=3; Path=/shop/cart", kNow + 2);
+  std::vector<const Cookie*> out;
+  first.retrieve(url, kNow + 5, JarApi::kScript, out);
+  second.retrieve(url, kNow + 5, JarApi::kScript, out);
+  std::string joined;
+  append_cookie_pairs(out, joined);
+  EXPECT_EQ(joined, "a=1; c=3; b=2");
 }
 
 }  // namespace

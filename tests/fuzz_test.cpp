@@ -11,6 +11,7 @@
 #include "cookies/cookie_jar.h"
 #include "crawler/crawler.h"
 #include "net/http_date.h"
+#include "net/psl.h"
 #include "net/query.h"
 #include "net/set_cookie.h"
 #include "net/url.h"
@@ -61,6 +62,44 @@ TEST(FuzzTest, UrlParserNeverCrashesAndRoundTripsWhenAccepted) {
     ASSERT_TRUE(again.has_value()) << url->spec();
     EXPECT_EQ(again->origin(), url->origin());
     EXPECT_FALSE(url->host().empty());
+
+    // eTLD+1 of an accepted host: a label-aligned suffix of it, which the
+    // host domain-matches, and never itself a public suffix.
+    const std::string& host = url->host();
+    const std::string site = net::etld_plus_one(host);
+    EXPECT_EQ(url->site(), site);
+    if (!site.empty() && !host.ends_with('.')) {
+      EXPECT_TRUE(host == site ||
+                  (host.ends_with(site) &&
+                   host[host.size() - site.size() - 1] == '.'))
+          << host << " -> " << site;
+      EXPECT_TRUE(net::domain_matches(host, site)) << host;
+      EXPECT_TRUE(net::same_site(host, site)) << host;
+      EXPECT_FALSE(net::is_public_suffix(site)) << host;
+    }
+  }
+}
+
+TEST(FuzzTest, PslFunctionsTolerateArbitraryHosts) {
+  script::Rng rng(0xF0E7);
+  for (int i = 0; i < 4000; ++i) {
+    const auto host = i % 2 == 0 ? random_bytes(rng, 40)
+                                 : random_structured(rng, 40);
+    const auto domain = random_structured(rng, 12);
+    const std::string site = net::etld_plus_one(host);
+    EXPECT_LE(site.size(), host.size());
+    // Blind to ASCII case, like the lower-casing they apply.
+    std::string upper = host;
+    for (char& c : upper) {
+      if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    }
+    EXPECT_EQ(net::etld_plus_one(upper), site);
+    EXPECT_EQ(net::is_public_suffix(upper), net::is_public_suffix(host));
+    EXPECT_EQ(net::domain_matches(upper, domain),
+              net::domain_matches(host, domain));
+    if (!host.starts_with('.')) {
+      EXPECT_TRUE(net::domain_matches(host, host)) << host;
+    }
   }
 }
 

@@ -2,6 +2,14 @@
 // query codecs, HTTP headers, cookie-date parsing, Set-Cookie parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "corpus/corpus.h"
 #include "net/http.h"
 #include "net/http_date.h"
 #include "net/percent.h"
@@ -164,6 +172,177 @@ TEST(PslTest, SameSiteHosts) {
   EXPECT_TRUE(same_site("www.zoom.us", "zoom.us"));
   EXPECT_FALSE(same_site("microsoft.com", "live.com"));
   EXPECT_FALSE(same_site("com", "com"));  // bare suffixes never same-site
+}
+
+// ------------------------------------------- PSL vs linear-scan oracle ----
+
+// The public-suffix code as it was before the candidate-suffix lookup:
+// lower-case into a copy, then scan all 58 suffixes. Kept verbatim as the
+// oracle the lookup must agree with.
+namespace oracle {
+
+constexpr std::array<std::string_view, 58> kSuffixes = {
+    "com", "org", "net", "io", "co", "ai", "de", "fr", "jp", "ru", "uk",
+    "us", "eu", "info", "biz", "tv", "me", "app", "dev", "cloud", "media",
+    "agency", "online", "shop", "store", "site", "xyz", "news", "blog",
+    "edu", "gov", "mil", "int", "ac",
+    "co.uk", "org.uk", "ac.uk", "gov.uk", "co.jp", "ne.jp", "or.jp",
+    "com.au", "net.au", "org.au", "com.br", "com.cn", "com.tr", "co.in",
+    "co.kr", "com.mx", "co.za",
+    "github.io", "gitlab.io", "netlify.app", "herokuapp.com",
+    "blogspot.com", "myshopify.com", "amazonaws.com",
+};
+
+bool is_ip_literal(std::string_view host) {
+  return !host.empty() &&
+         host.find_first_not_of("0123456789.") == std::string_view::npos &&
+         std::count(host.begin(), host.end(), '.') == 3;
+}
+
+std::string to_lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return out;
+}
+
+std::size_t suffix_length(std::string_view host) {
+  std::size_t best = 0;
+  for (const auto suffix : kSuffixes) {
+    if (host.size() == suffix.size() && host == suffix) {
+      best = std::max(best, suffix.size());
+    } else if (host.size() > suffix.size() && host.ends_with(suffix) &&
+               host[host.size() - suffix.size() - 1] == '.') {
+      best = std::max(best, suffix.size());
+    }
+  }
+  if (best == 0) {
+    const auto dot = host.rfind('.');
+    best = (dot == std::string_view::npos) ? host.size() : host.size() - dot - 1;
+  }
+  return best;
+}
+
+bool is_public_suffix(std::string_view host) {
+  const std::string lower = to_lower(host);
+  return !lower.empty() && suffix_length(lower) == lower.size();
+}
+
+std::string etld_plus_one(std::string_view host) {
+  std::string lower = to_lower(host);
+  while (!lower.empty() && lower.back() == '.') lower.pop_back();
+  if (lower.empty()) return {};
+  if (is_ip_literal(lower)) return lower;
+  const std::size_t suffix_len = suffix_length(lower);
+  if (suffix_len >= lower.size()) return {};
+  const std::string_view rest =
+      std::string_view(lower).substr(0, lower.size() - suffix_len - 1);
+  const auto dot = rest.rfind('.');
+  const std::size_t start = (dot == std::string_view::npos) ? 0 : dot + 1;
+  return lower.substr(start);
+}
+
+bool domain_matches(std::string_view host, std::string_view domain) {
+  const std::string h = to_lower(host);
+  std::string d = to_lower(domain);
+  if (!d.empty() && d.front() == '.') d.erase(d.begin());
+  if (h == d) return true;
+  return h.size() > d.size() && h.ends_with(d) &&
+         h[h.size() - d.size() - 1] == '.' && !is_ip_literal(h);
+}
+
+}  // namespace oracle
+
+void expect_psl_agrees(const std::string& host) {
+  EXPECT_EQ(etld_plus_one(host), oracle::etld_plus_one(host)) << host;
+  EXPECT_EQ(is_public_suffix(host), oracle::is_public_suffix(host)) << host;
+  const std::string site = oracle::etld_plus_one(host);
+  for (const std::string& domain :
+       {site, "." + site, host, std::string("com"), std::string("")}) {
+    EXPECT_EQ(domain_matches(host, domain), oracle::domain_matches(host, domain))
+        << host << " vs " << domain;
+  }
+}
+
+// "{site}" stands for the visited page's host in catalog templates.
+std::string expand(std::string_view tpl, std::string_view site_host) {
+  std::string out(tpl);
+  if (const auto pos = out.find("{site}"); pos != std::string::npos) {
+    out.replace(pos, 6, site_host);
+  }
+  return out;
+}
+
+void collect_op_hosts(const std::vector<script::ScriptOp>& ops,
+                      std::string_view site_host, std::set<std::string>& out) {
+  for (const auto& op : ops) {
+    if (!op.dest_host.empty()) out.insert(expand(op.dest_host, site_host));
+    if (!op.helper_script_url.empty()) {
+      if (const auto url = Url::parse(op.helper_script_url)) {
+        out.insert(url->host());
+      }
+    }
+    collect_op_hosts(op.nested, site_host, out);
+  }
+}
+
+TEST(PslOracleTest, EveryCorpusHostAgreesWithLinearScan) {
+  corpus::CorpusParams params;
+  params.site_count = 400;
+  const corpus::Corpus corpus(params);
+  std::set<std::string> hosts;
+  for (int i = 0; i < corpus.size(); ++i) {
+    const auto& bp = corpus.site(i);
+    hosts.insert(bp.host);
+    if (!bp.cloaked_host.empty()) hosts.insert(bp.cloaked_host);
+  }
+  const std::string some_site = corpus.site(0).host;
+  for (const auto& [id, spec] : corpus.catalog().all()) {
+    if (!spec.is_inline) {
+      if (const auto url = Url::parse(expand(spec.url_template, some_site))) {
+        hosts.insert(url->host());
+      }
+    }
+    collect_op_hosts(spec.ops, some_site, hosts);
+  }
+  ASSERT_GT(hosts.size(), 400u);
+  for (const auto& host : hosts) {
+    expect_psl_agrees(host);
+    // The same hosts as they reach the API un-normalised.
+    std::string upper = host;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    expect_psl_agrees(upper);
+    expect_psl_agrees(host + ".");
+  }
+}
+
+TEST(PslOracleTest, EdgeCasesAgreeWithLinearScan) {
+  for (const std::string host : {
+           "", ".", "..", "com", "COM", "com.", "co.uk", "Co.Uk.", "uk",
+           "a..com", "..com", ".com", "a.com..", "example..co.uk",
+           "x.herokuapp.com", "herokuapp.com", "a.b.herokuapp.com",
+           "user.github.io", "github.io", "x.netlify.app", "netlify.app",
+           "127.0.0.1", "10.0.0.1.", "1.2.3", "1.2.3.4.5", "256.1.1.1",
+           "www.example.zz", "zz", "a.b.c.d.example.com.au", "com.au",
+           "shop.example.co.jp", "example.ne.jp", "EXAMPLE.COM", "Ex.AmPle.Org",
+           "a.co", "co", "amazonaws.com", "s3.amazonaws.com", "x.y.z"}) {
+    expect_psl_agrees(host);
+  }
+  EXPECT_EQ(domain_matches("10.0.0.1", "0.0.1"),
+            oracle::domain_matches("10.0.0.1", "0.0.1"));
+  EXPECT_EQ(domain_matches("A.Example.COM", ".EXAMPLE.com"),
+            oracle::domain_matches("A.Example.COM", ".EXAMPLE.com"));
+}
+
+TEST(SiteCacheTest, MemoizesEtldPlusOnePerHost) {
+  SiteCache cache;
+  const std::string& first = cache.site_of("www.example.co.uk");
+  EXPECT_EQ(first, "example.co.uk");
+  EXPECT_EQ(&cache.site_of("www.example.co.uk"), &first);  // same entry
+  EXPECT_EQ(cache.site_of("WWW.Example.COM."), "example.com");
+  EXPECT_EQ(cache.site_of("com"), "");
+  EXPECT_EQ(first, "example.co.uk");  // stable across later insertions
 }
 
 // ------------------------------------------------------------ percent ----

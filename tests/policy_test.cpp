@@ -266,6 +266,50 @@ TEST(PolicyBrowserTest, ChipsStoresPartitionedHeaderCookiesByEmbedder) {
   });
 }
 
+TEST(PolicyBrowserTest, ChipsReadsPartitionsInKeyOrder) {
+  // A top-level CHIPS read concatenates the classic jar's §5.4 order and
+  // then the partition's — it does not sort the union. p1 is the oldest
+  // cookie, so one merged sort would put it first.
+  TestSite site;
+  site.browser().set_policy(&policy::engine_for(PolicyKind::kChips));
+  std::string cookie_header;
+  site.browser().network().register_host(
+      "www.shop.example", [&](const net::HttpRequest& req) {
+        if (req.destination == net::RequestDestination::kXhr) {
+          cookie_header = req.headers.get("Cookie").value_or("");
+        }
+        return net::HttpResponse{};
+      });
+  auto page = site.open();
+  const auto ctx = context_for_url("https://www.shop.example/app.js");
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "p1=a; Path=/; Secure; Partitioned");
+    services.document_cookie_write(ctx, "u1=b; Path=/");
+    services.document_cookie_write(ctx, "p2=c; Path=/; Secure; Partitioned");
+    services.document_cookie_write(ctx, "u2=d; Path=/");
+    EXPECT_EQ(services.document_cookie_read(ctx), "u1=b; u2=d; p1=a; p2=c");
+  });
+
+  // The read refreshed last_access in both partitions.
+  const auto* partition = site.browser().jar_store().find("chips:shop.example");
+  ASSERT_NE(partition, nullptr);
+  ASSERT_EQ(partition->size(), 2u);
+  ASSERT_EQ(site.browser().jar().size(), 2u);
+  const TimeMillis read_time = partition->all().at(0).last_access;
+  EXPECT_GT(read_time, partition->all().at(0).creation_time);
+  for (const auto& c : partition->all()) EXPECT_EQ(c.last_access, read_time);
+  for (const auto& c : site.browser().jar().all()) {
+    EXPECT_EQ(c.last_access, read_time);
+  }
+
+  // The HTTP Cookie header of a same-site request follows the same order.
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.send_request(ctx,
+                          net::Url::must_parse("https://www.shop.example/api"));
+  });
+  EXPECT_EQ(cookie_header, "u1=b; u2=d; p1=a; p2=c");
+}
+
 TEST(PolicyBrowserTest, ChipsFrameStoresOnlyPartitionedCookies) {
   TestSite site;
   site.browser().set_policy(&policy::engine_for(PolicyKind::kChips));
