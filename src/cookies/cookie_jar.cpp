@@ -244,14 +244,6 @@ void CookieJar::peek(const net::Url& url, TimeMillis now, JarApi api,
   collect_matches(cookies_, url, now, api, out);
 }
 
-std::size_t CookieJar::count_for_url(const net::Url& url, TimeMillis now,
-                                     JarApi api) const {
-  return static_cast<std::size_t>(
-      std::count_if(cookies_.begin(), cookies_.end(), [&](const Cookie& c) {
-        return retrieval_match(c, url, now, api);
-      }));
-}
-
 std::vector<Cookie> CookieJar::cookies_for_url(const net::Url& url,
                                                TimeMillis now, JarApi api) {
   std::vector<const Cookie*> matched;

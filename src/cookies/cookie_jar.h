@@ -74,15 +74,11 @@ class CookieJar {
                 std::vector<const Cookie*>& out);
 
   /// Read-only twin of retrieve(): identical matching and sort order, but
-  /// does NOT update last_access. Measurement code must use this (or
-  /// count_for_url) — an observer read that refreshed last_access would
-  /// perturb the LRU eviction order it is trying to observe.
+  /// does NOT update last_access. Measurement code must use this — an
+  /// observer read that refreshed last_access would perturb the LRU
+  /// eviction order it is trying to observe.
   void peek(const net::Url& url, TimeMillis now, JarApi api,
             std::vector<const Cookie*>& out) const;
-
-  /// How many cookies peek() would return; read-only, nothing copied.
-  std::size_t count_for_url(const net::Url& url, TimeMillis now,
-                            JarApi api) const;
 
   /// retrieve() as copies, for callers that keep cookies past the next
   /// jar change. Updates last_access.

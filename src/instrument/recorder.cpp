@@ -41,14 +41,16 @@ void Recorder::on_page_finished(browser::Page& page) {
   if (log_->pages_visited == 1) {
     log_->landing_timings = page.timings();
   }
-  // Observer census of the first-party jar at page-finish. A read-only
-  // count is mandatory here: retrieve() refreshes last_access, and a
-  // measurement read that perturbed the LRU eviction order it observes
-  // would break N-thread byte-identity of eviction-heavy sites.
-  obs::metric_add(
-      "instrument.jar_cookies_at_finish",
-      static_cast<std::int64_t>(page.browser().jar().count_for_url(
-          page.url(), page.now(), cookies::JarApi::kScript)));
+  // Observer census of the first-party jar at page-finish. peek() is
+  // mandatory here: retrieve() refreshes last_access, and a measurement
+  // read that perturbed the LRU eviction order it observes would break
+  // N-thread byte-identity of eviction-heavy sites. It counts pointers;
+  // no cookie is copied.
+  std::vector<const cookies::Cookie*> matched;
+  page.browser().jar().peek(page.url(), page.now(), cookies::JarApi::kScript,
+                            matched);
+  obs::metric_add("instrument.jar_cookies_at_finish",
+                  static_cast<std::int64_t>(matched.size()));
   // Both collection channels functioned for this visit. (Whether any events
   // were captured is a property of the site, not of the pipeline; the
   // paper's completeness filter models channel failures, which the crawler
