@@ -72,7 +72,8 @@ std::size_t suffix_length(std::string_view host) {
   std::size_t best = 0;
   std::size_t end = host.size();  // candidates start after host[0, end)
   for (std::size_t labels = 1; labels <= kMaxSuffixLabels; ++labels) {
-    const auto dot = end == 0 ? std::string_view::npos : host.rfind('.', end - 1);
+    const auto dot =
+        end == 0 ? std::string_view::npos : host.rfind('.', end - 1);
     const std::size_t start = dot == std::string_view::npos ? 0 : dot + 1;
     if (listed_suffix(host.substr(start))) best = host.size() - start;
     if (dot == std::string_view::npos) break;

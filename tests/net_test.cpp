@@ -260,7 +260,8 @@ void expect_psl_agrees(const std::string& host) {
   const std::string site = oracle::etld_plus_one(host);
   for (const std::string& domain :
        {site, "." + site, host, std::string("com"), std::string("")}) {
-    EXPECT_EQ(domain_matches(host, domain), oracle::domain_matches(host, domain))
+    EXPECT_EQ(domain_matches(host, domain),
+              oracle::domain_matches(host, domain))
         << host << " vs " << domain;
   }
 }
