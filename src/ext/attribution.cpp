@@ -25,7 +25,6 @@ Attribution attribute_stack(const webplat::StackTrace& stack,
     return out;
   }
   out.script_url = frame->script_url;
-  // The frame resolved its origin when it was pushed; no URL parse here.
   if (frame->script_origin) {
     out.domain = *frame->script_origin;
   } else {
