@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,12 @@ struct PathCase {
   const char* cookie_path;
   bool match;
 };
+
+// Names each case by value ("request=/a/b cookie=/a/"), not by the
+// struct's bytes, whose pointer values change with every build and run.
+void PrintTo(const PathCase& c, std::ostream* os) {
+  *os << "request=" << c.request_path << " cookie=" << c.cookie_path;
+}
 
 class PathMatchTest : public ::testing::TestWithParam<PathCase> {};
 

@@ -3,6 +3,10 @@
 // template/jar round-trips, and crawl determinism.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <string_view>
+
 #include "analysis/analyzer.h"
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
@@ -28,6 +32,17 @@ struct PolicyCase {
   bool site_owner_access;
   bool expect_visible;
 };
+
+// Names each case by value ("cdn.tracker.com group=1 owner=1"); the
+// default printer dumps the struct's bytes, pointer values included, so
+// the case names would change with every build and run.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  std::string_view host = c.reader_url;
+  host.remove_prefix(host.find("://") + 3);
+  host = host.substr(0, host.find('/'));
+  *os << host << " group=" << c.entity_grouping
+      << " owner=" << c.site_owner_access;
+}
 
 class PolicyLatticeTest : public ::testing::TestWithParam<PolicyCase> {};
 
