@@ -1,7 +1,10 @@
 // Unit tests for the crypto substrate against published test vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "crypto/base64.h"
 #include "crypto/crc32c.h"
@@ -150,6 +153,57 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
     crc.update(std::string_view(data).substr(0, split));
     crc.update(std::string_view(data).substr(split));
     EXPECT_EQ(crc.value(), crc32c(data)) << "split=" << split;
+  }
+}
+
+// The plain one-byte-at-a-time table loop: the oracle for the sliced
+// implementation.
+std::uint32_t bytewise_crc32c(std::string_view data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : data) {
+    crc = table[(crc ^ static_cast<std::uint8_t>(c)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+TEST(Crc32cTest, SlicedMatchesBytewiseOracleAtAnyOffsetAndSplit) {
+  std::uint64_t state = 0xC3C32C;
+  // Backing storage with slack so every length can start at offsets 0..7.
+  std::string backing(300 + 8, '\0');
+  for (char& c : backing) c = static_cast<char>(splitmix64(state));
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view data =
+          std::string_view(backing).substr(offset, len);
+      const std::uint32_t expected = bytewise_crc32c(data);
+      ASSERT_EQ(crc32c(data), expected) << "len=" << len << " off=" << offset;
+
+      Crc32c chunked;
+      std::size_t pos = 0;
+      while (pos < data.size()) {
+        const std::size_t chunk = std::min<std::size_t>(
+            splitmix64(state) % 20, data.size() - pos);
+        chunked.update(data.substr(pos, chunk));
+        pos += chunk;
+      }
+      ASSERT_EQ(chunked.value(), expected)
+          << "len=" << len << " off=" << offset;
+    }
   }
 }
 
