@@ -6,15 +6,21 @@
 namespace cg::serve {
 namespace {
 
-/// Splits on runs of spaces/tabs; no escaping (entity names in the corpus
-/// contain none).
+/// ASCII whitespace: space, \t, \n, \v, \f, \r. A CRLF client's trailing
+/// \r is a separator, never part of the last token.
+bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Splits on runs of ASCII whitespace; no escaping (entity names in the
+/// corpus contain none).
 std::vector<std::string_view> tokenize(std::string_view line) {
   std::vector<std::string_view> out;
   std::size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    while (i < line.size() && is_space(line[i])) ++i;
     std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    while (i < line.size() && !is_space(line[i])) ++i;
     if (i > start) out.push_back(line.substr(start, i - start));
   }
   return out;

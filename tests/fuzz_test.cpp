@@ -5,6 +5,7 @@
 // per parser, checking no-crash plus structural invariants.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -18,6 +19,7 @@
 #include "report/json.h"
 #include "script/interpreter.h"
 #include "script/rng.h"
+#include "serve/query.h"
 #include "store/reader.h"
 #include "store/record_codec.h"
 #include "store/writer.h"
@@ -170,6 +172,62 @@ TEST(FuzzTest, QueryParserRoundTripsDecodedPairs) {
     const auto rebuilt = net::parse_query(net::build_query(params));
     EXPECT_EQ(rebuilt, params) << input;
   }
+}
+
+// ---- cgserve line protocol -------------------------------------------------
+// Every cgserve query line comes off a pipe or socket unvetted.
+
+TEST(FuzzTest, ServeQueryParserNeverCrashesAndRoundTripsWhenAccepted) {
+  static constexpr const char* kValid[] = {
+      "site 17",          "table1",        "totals",
+      "top-exfiltrated 5", "top-domains",  "entity Google",
+      "stats",            "waves",         "waves tracker.net"};
+  static constexpr char kSeparators[] = " \t\n\v\f\r";
+  script::Rng rng(0x5E7E);
+  int accepted = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::string line;
+    if (i % 3 == 0) {
+      line = i % 2 == 0 ? random_bytes(rng, 48) : random_structured(rng, 48);
+    } else {
+      // A valid line, then a few byte edits: replace, insert a separator
+      // or digit, or delete.
+      line = kValid[rng.below(std::size(kValid))];
+      const int edits = static_cast<int>(rng.below(4));
+      for (int e = 0; e < edits; ++e) {
+        const std::size_t at = rng.below(line.size() + 1);
+        switch (rng.below(4)) {
+          case 0:
+            if (at < line.size()) line[at] = static_cast<char>(rng.below(256));
+            break;
+          case 1:
+            line.insert(at, 1, kSeparators[rng.below(sizeof(kSeparators) - 1)]);
+            break;
+          case 2:
+            line.insert(at, 1, static_cast<char>('0' + rng.below(10)));
+            break;
+          default:
+            if (at < line.size()) line.erase(at, 1);
+            break;
+        }
+      }
+    }
+    const auto query = serve::parse_query(line);
+    if (!query) continue;
+    ++accepted;
+    const std::string text = serve::to_text(*query);
+    const auto again = serve::parse_query(text);
+    ASSERT_TRUE(again.has_value()) << testing::PrintToString(line);
+    EXPECT_EQ(again->kind, query->kind) << testing::PrintToString(line);
+    EXPECT_EQ(again->rank, query->rank) << testing::PrintToString(line);
+    EXPECT_EQ(again->top_n, query->top_n) << testing::PrintToString(line);
+    EXPECT_EQ(again->entity, query->entity) << testing::PrintToString(line);
+    EXPECT_EQ(again->domain, query->domain) << testing::PrintToString(line);
+    EXPECT_EQ(serve::to_text(*again), text) << testing::PrintToString(line);
+  }
+  // The mutations must leave plenty of lines parseable, or the round-trip
+  // half of the check tests nothing.
+  EXPECT_GT(accepted, 1000);
 }
 
 TEST(FuzzTest, CookieDateParserNeverCrashes) {

@@ -148,6 +148,41 @@ TEST(QueryParseTest, DefaultsAndRejects) {
   EXPECT_FALSE(parse_query("unknown 1").has_value());
 }
 
+TEST(QueryParseTest, CarriageReturnIsASeparatorNotPartOfAToken) {
+  // A CRLF client's line arrives with its \r still attached.
+  const auto site = parse_query("site 1\r");
+  ASSERT_TRUE(site.has_value());
+  EXPECT_EQ(site->kind, QueryKind::kSite);
+  EXPECT_EQ(site->rank, 1);
+  ASSERT_TRUE(parse_query("table1\r").has_value());
+  EXPECT_EQ(parse_query("table1\r")->kind, QueryKind::kTable1);
+  const auto entity = parse_query("entity Google\r");
+  ASSERT_TRUE(entity.has_value());
+  EXPECT_EQ(entity->entity, "Google");
+  EXPECT_EQ(to_text(*entity), "entity Google");
+  EXPECT_EQ(parse_query("waves tracker.net\r")->domain, "tracker.net");
+  EXPECT_FALSE(parse_query("\r").has_value());
+}
+
+TEST(QueryParseTest, EveryAsciiWhitespaceSeparates) {
+  for (const char* line :
+       {"site\v17", "site\f17", "site\r17", "\v site \t\f 17 \r",
+        "\f\vsite\r\n17\n", " \t\v\f\r\nsite 17"}) {
+    const auto q = parse_query(line);
+    ASSERT_TRUE(q.has_value()) << testing::PrintToString(line);
+    EXPECT_EQ(q->kind, QueryKind::kSite);
+    EXPECT_EQ(q->rank, 17);
+  }
+  const auto top = parse_query("top-domains\v\f3\r");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->top_n, 3);
+  const auto entity = parse_query("\tentity\fGoogle\v");
+  ASSERT_TRUE(entity.has_value());
+  EXPECT_EQ(entity->entity, "Google");
+  EXPECT_FALSE(parse_query("site\v17\fextra").has_value());
+  EXPECT_FALSE(parse_query(" \t\v\f\r\n").has_value());
+}
+
 // ---- cache ----------------------------------------------------------------
 
 std::shared_ptr<const instrument::VisitLog> log_for(int rank) {

@@ -123,6 +123,8 @@ int main(int argc, char** argv) {
   } else {
     std::string line;
     while (std::getline(std::cin, line)) {
+      // CRLF clients: the \r before the \n is line framing, not content.
+      if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line == "quit" || line == "exit") break;
       if (line.empty()) continue;
       answer(*server, line, options.timing);
