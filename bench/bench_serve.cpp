@@ -4,8 +4,8 @@
 // Pipeline: crawl CG_SITES sites (default 20,000), pack them into an
 // in-memory CGAR image, then
 //
-//   batch:  time the full-walk analyze_archive pass — the "6.5 s to answer
-//           one question" baseline the serving tier exists to beat — and
+//   batch:  time the full-walk analyze_archive pass — what one question
+//           costs in batch, the baseline the serving tier exists to beat — and
 //           check the server's load-time aggregate reproduces its summary
 //           byte-for-byte (both are the same fold+merge algebra).
 //   serve:  replay CG_SERVE_QUERIES mixed queries (90% per-site zipfian,

@@ -36,6 +36,11 @@ class Analyzer {
   /// as merge().
   void apply(SiteSummary&& summary) { state_.merge(std::move(summary)); }
 
+  /// What every visit is folded with; analyze_archive folds an archive
+  /// with these, then apply()s the result.
+  const entities::EntityMap& entities() const { return entities_; }
+  const AnalyzerOptions& options() const { return options_; }
+
   /// The complete aggregate state — everything below is a view into it.
   const SiteSummary& summary() const { return state_; }
 

@@ -1,20 +1,123 @@
 #include "analysis/archive.h"
 
+#include <atomic>
+#include <utility>
+
+#include "runtime/sharded_runner.h"
+
 namespace cg::analysis {
+namespace {
+
+/// One site's share of a parallel fold: its summary, or the error that
+/// stopped it.
+struct SiteFold {
+  std::optional<SiteSummary> summary;
+  store::Error error;
+};
+
+/// The one archive fold. Runs `visit(i, error)` + fold_visit for every
+/// i in [0, count) on the shard workers and merges the summaries on the
+/// calling thread in index order. Stops merging at the first failed
+/// index; sites after a failure already seen are skipped, never the ones
+/// before it, so the reported error is the earliest in index order at any
+/// thread count.
+template <typename VisitFn>
+std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
+                                      const entities::EntityMap& entities,
+                                      const AnalyzerOptions& options,
+                                      store::Error* error) {
+  std::atomic<int> first_failure{count};
+  SiteSummary merged;
+  std::optional<store::Error> failure;
+  runtime::ShardedRunner runner;
+  runner.run<SiteFold>(
+      0, count,
+      [&](int index, int /*worker*/) {
+        SiteFold out;
+        // Only a skip hint: a skipped site is never merged, because the
+        // failure before it stops the merge first.
+        if (index > first_failure.load(std::memory_order_relaxed)) return out;
+        const auto log = visit(index, &out.error);
+        if (!log) {
+          int seen = first_failure.load(std::memory_order_relaxed);
+          while (index < seen &&
+                 !first_failure.compare_exchange_weak(
+                     seen, index, std::memory_order_relaxed)) {
+          }
+          return out;
+        }
+        out.summary = fold_visit(entities, options, *log);
+        return out;
+      },
+      [&](int /*index*/, SiteFold&& site) {
+        if (failure) return;
+        if (!site.summary) {
+          failure = std::move(site.error);
+          return;
+        }
+        merged.merge(std::move(*site.summary));
+      });
+  if (failure) {
+    if (error != nullptr) *error = std::move(*failure);
+    return std::nullopt;
+  }
+  if (error != nullptr) *error = {};
+  return merged;
+}
+
+}  // namespace
+
+std::optional<SiteSummary> fold_archive(const store::Reader& reader,
+                                        const entities::EntityMap& entities,
+                                        const AnalyzerOptions& options,
+                                        store::Error* error) {
+  // Checked here, not per site: a delta archive with no blocks would
+  // otherwise fold to an empty summary.
+  if (reader.reject_unresolved_delta(error)) return std::nullopt;
+  return fold_sites(
+      reader.site_count(),
+      [&reader](int index, store::Error* site_error) {
+        return reader.visit_at(static_cast<std::size_t>(index), site_error);
+      },
+      entities, options, error);
+}
+
+std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
+                                     const entities::EntityMap& entities,
+                                     const AnalyzerOptions& options,
+                                     store::Error* error) {
+  if (wave < 0 || wave >= chain.waves()) {
+    if (error != nullptr) {
+      *error = {fault::ArchiveFault::kNone, "wave index out of range"};
+    }
+    return std::nullopt;
+  }
+  const std::vector<int>& ranks = chain.ranks(wave);
+  return fold_sites(
+      static_cast<int>(ranks.size()),
+      [&chain, &ranks, wave](int index, store::Error* site_error) {
+        return chain.visit(ranks[static_cast<std::size_t>(index)], wave,
+                           site_error);
+      },
+      entities, options, error);
+}
 
 bool analyze_archive(const store::Reader& reader, Analyzer& analyzer,
                      store::Error* error) {
-  return reader.for_each(
-      [&analyzer](instrument::VisitLog&& log) { analyzer.ingest(log); },
-      error);
+  auto summary =
+      fold_archive(reader, analyzer.entities(), analyzer.options(), error);
+  if (!summary) return false;
+  analyzer.apply(std::move(*summary));
+  return true;
 }
 
 bool analyze_wave(const store::WaveChain& chain, int wave, Analyzer& analyzer,
                   store::Error* error) {
-  return chain.for_each(
-      wave,
-      [&analyzer](instrument::VisitLog&& log) { analyzer.ingest(log); },
-      error);
+  auto summary =
+      fold_wave(chain, wave, analyzer.entities(), analyzer.options(), error);
+  if (!summary) return false;
+  analyzer.apply(std::move(*summary));
+  return true;
 }
 
 }  // namespace cg::analysis

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "analysis/archive.h"
 #include "cookies/cookie.h"
 #include "entities/entity_map.h"
 #include "fault/fault.h"
@@ -84,7 +85,9 @@ std::unique_ptr<Server> Server::from_readers(
   std::unique_ptr<Server> server(new Server(std::move(archives), config));
 
   // Precompute the aggregates: one full fold per archive at load time, so
-  // no query ever walks an archive. merge() order = load order.
+  // no query ever walks an archive. Each fold runs on every hardware
+  // thread and merges in rank order (analysis/archive.h); archives merge
+  // in load order.
   const entities::EntityMap& entities = entities::EntityMap::builtin();
   const bool chain_mode = std::any_of(
       server->archives_.begin(), server->archives_.end(),
@@ -103,29 +106,20 @@ std::unique_ptr<Server> Server::from_readers(
                                             error);
     if (!server->chain_) return nullptr;
     for (int w = 0; w < server->chain_->waves(); ++w) {
-      WaveInfo info;
-      info.wave = server->chain_->archive(w).wave();
-      const bool ok = server->chain_->for_each(
-          w,
-          [&](instrument::VisitLog&& log) {
-            info.summary.merge(analysis::fold_visit(entities, {}, log));
-          },
-          error);
-      if (!ok) return nullptr;  // an unresolvable chain must not serve
-      server->waves_.push_back(std::move(info));
+      auto summary = analysis::fold_wave(*server->chain_, w, entities, {},
+                                         error);
+      if (!summary) return nullptr;  // an unresolvable chain must not serve
+      server->waves_.push_back(
+          WaveInfo{server->chain_->archive(w).wave(), std::move(*summary)});
     }
     server->aggregate_ = server->waves_.back().summary;
     server->waves_answer_ = server->build_waves();
   } else {
     for (const Archive& archive : server->archives_) {
-      analysis::SiteSummary summary;
-      const bool ok = archive.reader.for_each(
-          [&](instrument::VisitLog&& log) {
-            summary.merge(analysis::fold_visit(entities, {}, log));
-          },
-          error);
-      if (!ok) return nullptr;  // a corrupt corpus must not serve
-      server->aggregate_.merge(std::move(summary));
+      auto summary =
+          analysis::fold_archive(archive.reader, entities, {}, error);
+      if (!summary) return nullptr;  // a corrupt corpus must not serve
+      server->aggregate_.merge(std::move(*summary));
     }
   }
 

@@ -2,7 +2,8 @@
 //
 // PR 4 made the archive the product; this makes it a serving tier. open()
 // pays the expensive work once per archive — validate the envelope, fold
-// every site block into a SiteSummary (analysis/fold.h), build the
+// every site block into a SiteSummary on all hardware threads
+// (analysis::fold_archive, merged in rank order), build the
 // per-entity index, and render the aggregate answers — and every query
 // afterwards is cheap:
 //

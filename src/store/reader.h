@@ -110,6 +110,11 @@ class Reader {
   };
   std::optional<VerifyStats> verify(Error* error = nullptr) const;
 
+  /// True, with `error` set to kDeltaUnresolved, for a delta archive —
+  /// the up-front check visit(), visit_at() and for_each() make, for
+  /// callers that walk the index themselves.
+  [[nodiscard]] bool reject_unresolved_delta(Error* error) const;
+
  private:
   Reader() = default;
 
@@ -117,7 +122,6 @@ class Reader {
                                                    Error* error) const;
   std::optional<BlockFrame> frame_entry(const IndexEntry& entry,
                                         Error* error) const;
-  bool reject_unresolved_delta(Error* error) const;
 
   std::string bytes_;
   FooterInfo info_;

@@ -1,20 +1,25 @@
 // Longitudinal corpus-evolution tests: streaming/materialized byte
 // identity, wave-0 identity, pure order-independent wave schedules,
 // untouched sites becoming zero-byte inherited ranks, N-thread delta-pack
-// determinism, and the checked-in golden wave pin.
+// determinism, parallel wave folds over a 3-wave chain against a sequential
+// reference, and the checked-in golden wave pin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "analysis/archive.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
 #include "crawler/crawler.h"
+#include "entities/entity_map.h"
 #include "evolve/wave_corpus.h"
 #include "evolve/wave_plan.h"
 #include "report/report.h"
@@ -77,6 +82,32 @@ store::WriterOptions chain_options(const corpus::CorpusParams& params,
   options.fault_seed = plan.enabled() ? plan.params().seed : 0;
   options.evolution_seed = evolution.seed;
   return options;
+}
+
+/// `base_options` as the next delta wave over `tail`, the chain's newest
+/// archive, with its BaseProvenance — what `cgsim pack --base` records.
+store::WriterOptions delta_options_for(store::WriterOptions base_options,
+                                       const store::Reader& tail,
+                                       std::uint32_t wave) {
+  base_options.kind = store::ArchiveKind::kDelta;
+  base_options.wave = wave;
+  base_options.base.corpus_seed = tail.corpus_seed();
+  base_options.base.fault_seed = tail.fault_seed();
+  base_options.base.evolution_seed = tail.evolution_seed();
+  base_options.base.policy = tail.policy();
+  base_options.base.wave = tail.wave();
+  base_options.base.site_count =
+      static_cast<std::uint32_t>(tail.total_site_count());
+  base_options.base.footer_crc = tail.footer_crc();
+  return base_options;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(CG_SOURCE_ROOT "/tests/golden/") + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  return text;
 }
 
 TEST(StreamingCorpusTest, ByteIdenticalToMaterializedCorpus) {
@@ -157,17 +188,8 @@ TEST(WaveCorpusTest, UntouchedSitesInheritAndDeltaPacksAreThreadIdentical) {
   ASSERT_TRUE(chain.has_value()) << error.to_string();
 
   const evolve::WaveCorpus wave1(params, evolution, 1);
-  store::WriterOptions delta_options = base_options;
-  delta_options.kind = store::ArchiveKind::kDelta;
-  delta_options.wave = 1;
-  delta_options.base.corpus_seed = base->corpus_seed();
-  delta_options.base.fault_seed = base->fault_seed();
-  delta_options.base.evolution_seed = base->evolution_seed();
-  delta_options.base.policy = base->policy();
-  delta_options.base.wave = base->wave();
-  delta_options.base.site_count =
-      static_cast<std::uint32_t>(base->total_site_count());
-  delta_options.base.footer_crc = base->footer_crc();
+  const store::WriterOptions delta_options =
+      delta_options_for(base_options, *base, 1);
 
   // The acceptance contract: a delta archive packed at N threads is
   // byte-identical to the 1-thread pack.
@@ -192,15 +214,80 @@ TEST(WaveCorpusTest, UntouchedSitesInheritAndDeltaPacksAreThreadIdentical) {
   }
 }
 
-// ------------------------------------------------------------ golden pin --
+// ------------------------------------------------- parallel wave fold --
 
-std::string read_golden(const std::string& name) {
-  std::ifstream in(std::string(CG_SOURCE_ROOT "/tests/golden/") + name);
-  EXPECT_TRUE(in.good()) << name;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return text;
+TEST(WaveCorpusTest, WaveFoldsMatchSequentialReferenceOverThreeWaves) {
+  const auto params = small_params(40);
+  const evolve::EvolutionParams evolution;
+  const store::WriterOptions base_options = chain_options(params, evolution);
+
+  // Wave 0 full, waves 1 and 2 deltas, each packed against the chain so far.
+  std::vector<store::Reader> archives;
+  archives.reserve(3);
+  store::Error error;
+  for (int wave = 0; wave < 3; ++wave) {
+    const evolve::WaveCorpus view(params, evolution, wave);
+    std::optional<store::WaveChain> tail;
+    if (wave > 0) {
+      std::vector<const store::Reader*> so_far;
+      for (const auto& archive : archives) so_far.push_back(&archive);
+      tail = store::WaveChain::link(std::move(so_far), &error);
+      ASSERT_TRUE(tail.has_value()) << error.to_string();
+    }
+    const store::WriterOptions options =
+        wave == 0 ? base_options
+                  : delta_options_for(base_options, archives.back(),
+                                      static_cast<std::uint32_t>(wave));
+    auto reader = store::Reader::from_buffer(
+        pack_wave(view, 2, tail ? &*tail : nullptr, options), &error);
+    ASSERT_TRUE(reader.has_value()) << error.to_string();
+    archives.push_back(std::move(*reader));
+  }
+  const auto chain = store::WaveChain::link(
+      {&archives[0], &archives[1], &archives[2]}, &error);
+  ASSERT_TRUE(chain.has_value()) << error.to_string();
+
+  const auto render = [&](analysis::SiteSummary summary) {
+    analysis::Analyzer analyzer(entities::EntityMap::builtin());
+    analyzer.apply(std::move(summary));
+    return report::summary_to_json(analyzer, 20).dump(2) + "\n";
+  };
+  for (int wave = 0; wave < 3; ++wave) {
+    // The sequential reference: for_each, fold_visit, merge, in rank order.
+    analysis::SiteSummary reference;
+    ASSERT_TRUE(chain->for_each(
+        wave,
+        [&](instrument::VisitLog&& log) {
+          reference.merge(
+              analysis::fold_visit(entities::EntityMap::builtin(), {}, log));
+        },
+        &error))
+        << error.to_string();
+    const std::string expected = render(std::move(reference));
+
+    analysis::Analyzer analyzer(entities::EntityMap::builtin());
+    ASSERT_TRUE(analysis::analyze_wave(*chain, wave, analyzer, &error))
+        << error.to_string();
+    EXPECT_EQ(report::summary_to_json(analyzer, 20).dump(2) + "\n", expected)
+        << "wave " << wave;
+    const auto folded = analysis::fold_wave(
+        *chain, wave, entities::EntityMap::builtin(), {}, &error);
+    ASSERT_TRUE(folded.has_value()) << error.to_string();
+    EXPECT_EQ(render(*folded), expected) << "wave " << wave;
+    if (wave == 2) {
+      EXPECT_EQ(expected, read_golden("wave2_summary.json"));
+    }
+  }
+
+  error = {};
+  EXPECT_FALSE(analysis::fold_wave(*chain, 3, entities::EntityMap::builtin(),
+                                   {}, &error)
+                   .has_value());
+  EXPECT_EQ(error.code, fault::ArchiveFault::kNone);
+  EXPECT_FALSE(error.detail.empty());
 }
+
+// ------------------------------------------------------------ golden pin --
 
 TEST(WaveCorpusTest, WaveTwoReproducesCheckedInGoldenSummary) {
   // Generated by `cgsim crawl --sites 40 --wave 2 --json` when seeded

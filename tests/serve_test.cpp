@@ -7,12 +7,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "entities/entity_map.h"
 #include "report/report.h"
 #include "serve/cache.h"
 #include "serve/query.h"
@@ -321,6 +323,31 @@ TEST(ServerTest, AggregateMatchesBatchAnalyzer) {
             report::summary_to_json(from_serve, 10).dump());
 }
 
+TEST(ServerTest, AggregateMatchesSequentialFoldReference) {
+  corpus::Corpus corpus(small_params(60));
+  const std::string archive = packed_archive(corpus);
+  const auto server = server_over(archive);
+
+  // The single-threaded reference: for_each, fold_visit, merge.
+  store::Error error;
+  auto reader = store::Reader::from_buffer(archive, &error);
+  ASSERT_TRUE(reader.has_value());
+  analysis::SiteSummary reference;
+  ASSERT_TRUE(reader->for_each(
+      [&](instrument::VisitLog&& log) {
+        reference.merge(
+            analysis::fold_visit(entities::EntityMap::builtin(), {}, log));
+      },
+      &error));
+
+  analysis::Analyzer expected(corpus.entities());
+  expected.apply(std::move(reference));
+  analysis::Analyzer from_serve(corpus.entities());
+  from_serve.apply(analysis::SiteSummary(server->aggregate()));
+  EXPECT_EQ(report::summary_to_json(from_serve, 10).dump(),
+            report::summary_to_json(expected, 10).dump());
+}
+
 TEST(ServerTest, SiteAnswersAreStableAndCacheIsTransparent) {
   corpus::Corpus corpus(small_params(40));
   const auto server = server_over(packed_archive(corpus));
@@ -541,6 +568,17 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
     ASSERT_TRUE(writer.finish());
   }
   const auto reference = server_over(full1_sink.str());
+  analysis::SiteSummary sequential;  // fold_visit + merge over wave 1's logs
+  for (const auto& log : wave1) {
+    sequential.merge(
+        analysis::fold_visit(entities::EntityMap::builtin(), {}, log));
+  }
+  analysis::Analyzer expected(corpus.entities());
+  expected.apply(std::move(sequential));
+  analysis::Analyzer served(corpus.entities());
+  served.apply(analysis::SiteSummary(server->aggregate()));
+  EXPECT_EQ(report::summary_to_json(served, 10).dump(),
+            report::summary_to_json(expected, 10).dump());
   for (const auto kind : {QueryKind::kTable1, QueryKind::kTotals}) {
     Query q;
     q.kind = kind;

@@ -1,5 +1,7 @@
 // CGAR store tests: codec round-trips, archive determinism across thread
-// counts, analysis-from-archive equivalence, footer/version rejection,
+// counts, analysis-from-archive equivalence (the parallel archive fold
+// against a sequential reference, corrupt and delta archives included),
+// footer/version rejection,
 // delta archives (codec, wave chains, splice rejection), and checkpoint
 // resume producing a byte-identical archive.
 #include <gtest/gtest.h>
@@ -9,12 +11,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "entities/entity_map.h"
 #include "report/report.h"
 #include "script/rng.h"
 #include "store/cgar.h"
@@ -401,6 +405,127 @@ TEST(StoreDeterminismTest, AnalysisFromArchiveMatchesLiveCrawl) {
       replayed.exfiltrated_pair_count(cookies::CookieSource::kDocumentCookie));
 }
 
+// ---- parallel archive fold -----------------------------------------------
+
+/// The single-threaded reference every parallel fold must reproduce byte
+/// for byte: for_each, fold_visit, merge, in rank order.
+std::string sequential_fold_json(const Reader& reader,
+                                 const entities::EntityMap& entities) {
+  analysis::SiteSummary summary;
+  Error error;
+  EXPECT_TRUE(reader.for_each(
+      [&](instrument::VisitLog&& log) {
+        summary.merge(analysis::fold_visit(entities, {}, log));
+      },
+      &error))
+      << error.to_string();
+  analysis::Analyzer analyzer(entities);
+  analyzer.apply(std::move(summary));
+  return report::summary_to_json(analyzer, 50).dump();
+}
+
+std::string summary_json(analysis::SiteSummary summary,
+                         const entities::EntityMap& entities) {
+  analysis::Analyzer analyzer(entities);
+  analyzer.apply(std::move(summary));
+  return report::summary_to_json(analyzer, 50).dump();
+}
+
+TEST(StoreDeterminismTest, ParallelFoldMatchesSequentialReference) {
+  corpus::Corpus corpus(small_params(80));
+  const std::string archive = pack_to_string(corpus, 2);
+  Error error;
+  const auto reader = Reader::from_buffer(archive, &error);
+  ASSERT_TRUE(reader.has_value()) << error.to_string();
+  const std::string reference =
+      sequential_fold_json(*reader, corpus.entities());
+
+  analysis::Analyzer analyzer(corpus.entities());
+  ASSERT_TRUE(analysis::analyze_archive(*reader, analyzer, &error))
+      << error.to_string();
+  EXPECT_EQ(report::summary_to_json(analyzer, 50).dump(), reference);
+
+  const auto folded =
+      analysis::fold_archive(*reader, corpus.entities(), {}, &error);
+  ASSERT_TRUE(folded.has_value()) << error.to_string();
+  EXPECT_EQ(summary_json(*folded, corpus.entities()), reference);
+}
+
+TEST(StoreDeterminismTest, ParallelFoldReportsTheEarliestCorruptBlock) {
+  corpus::Corpus corpus(small_params(80));
+  const std::string archive = pack_to_string(corpus, 2);
+  Error error;
+  const auto clean = Reader::from_buffer(archive, &error);
+  ASSERT_TRUE(clean.has_value()) << error.to_string();
+  const auto flip_block = [&](std::string& bytes, int rank) {
+    for (const IndexEntry& entry : clean->index()) {
+      if (entry.rank != rank) continue;
+      bytes[entry.offset + entry.length / 2] ^= 0x10;
+      return;
+    }
+    ADD_FAILURE() << "rank " << rank << " not in the archive";
+  };
+
+  // Both corrupt blocks in one shard block (7, 3), then in different ones
+  // (41, 12): the error is always the lower rank's.
+  for (const auto& [later, earlier] : {std::pair{7, 3}, std::pair{41, 12}}) {
+    std::string bytes = archive;
+    flip_block(bytes, later);
+    flip_block(bytes, earlier);
+    // Blocks are CRC-checked on access, so the envelope still opens.
+    const auto reader = Reader::from_buffer(bytes, &error);
+    ASSERT_TRUE(reader.has_value()) << error.to_string();
+
+    Error sequential;
+    EXPECT_FALSE(reader->for_each([](instrument::VisitLog&&) {}, &sequential));
+    Error at_earlier;
+    EXPECT_FALSE(reader->visit(earlier, &at_earlier).has_value());
+    ASSERT_NE(sequential.code, fault::ArchiveFault::kNone);
+    EXPECT_EQ(sequential.code, at_earlier.code);
+    EXPECT_EQ(sequential.detail, at_earlier.detail);
+
+    for (int run = 0; run < 10; ++run) {
+      analysis::Analyzer analyzer(corpus.entities());
+      Error parallel;
+      EXPECT_FALSE(analysis::analyze_archive(*reader, analyzer, &parallel));
+      EXPECT_EQ(parallel.code, sequential.code) << "run " << run;
+      EXPECT_EQ(parallel.detail, sequential.detail) << "run " << run;
+
+      Error folded;
+      EXPECT_FALSE(
+          analysis::fold_archive(*reader, corpus.entities(), {}, &folded)
+              .has_value());
+      EXPECT_EQ(folded.code, sequential.code) << "run " << run;
+      EXPECT_EQ(folded.detail, sequential.detail) << "run " << run;
+    }
+  }
+}
+
+TEST(StoreDeterminismTest, EmptyFullArchiveFoldsToAnEmptySummary) {
+  std::ostringstream out;
+  Writer writer(&out, WriterOptions{});
+  Error error;
+  ASSERT_TRUE(writer.finish(&error)) << error.to_string();
+  const auto reader = Reader::from_buffer(out.str(), &error);
+  ASSERT_TRUE(reader.has_value()) << error.to_string();
+  ASSERT_EQ(reader->site_count(), 0);
+
+  const auto& entities = entities::EntityMap::builtin();
+  const analysis::Analyzer empty(entities);
+  const auto folded = analysis::fold_archive(*reader, entities, {}, &error);
+  ASSERT_TRUE(folded.has_value()) << error.to_string();
+  EXPECT_TRUE(error.ok());
+  EXPECT_EQ(folded->totals.sites_crawled, 0);
+  EXPECT_TRUE(folded->pairs.empty());
+  EXPECT_EQ(summary_json(*folded, entities),
+            report::summary_to_json(empty, 50).dump());
+
+  analysis::Analyzer analyzer(entities);
+  EXPECT_TRUE(analysis::analyze_archive(*reader, analyzer, &error));
+  EXPECT_EQ(report::summary_to_json(analyzer, 50).dump(),
+            report::summary_to_json(empty, 50).dump());
+}
+
 // ---- envelope rejection --------------------------------------------------
 
 TEST(StoreRejectionTest, MixedAndFutureVersionsAreRejected) {
@@ -699,6 +824,34 @@ TEST(WaveChainTest, DeltaVisitsRequireTheChain) {
   const auto stats = delta->verify(&error);
   ASSERT_TRUE(stats.has_value()) << error.to_string();
   EXPECT_EQ(stats->sites, 3);  // blocks + inherited
+}
+
+TEST(WaveChainTest, ArchiveFoldsRejectDeltasEvenWithoutBlocks) {
+  const std::string w0 = pack_full(wave0_logs());
+  Error error;
+  const auto base = Reader::from_buffer(w0, &error);
+  ASSERT_TRUE(base.has_value());
+  const auto delta = Reader::from_buffer(pack_delta(*base, wave1_logs(), 1));
+  ASSERT_TRUE(delta.has_value());
+  // An unchanged wave inherits every rank: a delta with zero blocks.
+  const auto blockless =
+      Reader::from_buffer(pack_delta(*base, wave0_logs(), 1));
+  ASSERT_TRUE(blockless.has_value());
+  ASSERT_EQ(blockless->site_count(), 0);
+  ASSERT_EQ(blockless->total_site_count(), 3);
+
+  const auto& entities = entities::EntityMap::builtin();
+  for (const Reader* reader : {&*delta, &*blockless}) {
+    analysis::Analyzer analyzer(entities);
+    error = {};
+    EXPECT_FALSE(analysis::analyze_archive(*reader, analyzer, &error));
+    EXPECT_EQ(error.code, fault::ArchiveFault::kDeltaUnresolved);
+    EXPECT_EQ(analyzer.totals().sites_crawled, 0);
+    error = {};
+    EXPECT_FALSE(
+        analysis::fold_archive(*reader, entities, {}, &error).has_value());
+    EXPECT_EQ(error.code, fault::ArchiveFault::kDeltaUnresolved);
+  }
 }
 
 TEST(WaveChainTest, SplicedAndRepackedBasesAreRejected) {
