@@ -1,5 +1,6 @@
 #include "analysis/archive.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -8,19 +9,30 @@
 namespace cg::analysis {
 namespace {
 
-/// One site's share of a parallel fold: its summary, or the error that
-/// stopped it.
-struct SiteFold {
-  std::optional<SiteSummary> summary;
-  store::Error error;
+/// Consecutive sites one worker task folds and merges before the calling
+/// thread sees them. The calling thread's merge is the one serial step;
+/// per chunk it touches only the chunk's distinct pairs and domains, and
+/// the per-site maps are built and freed on the worker that made them.
+/// Chunk boundaries never depend on the thread count.
+constexpr int kChunkSites = 32;
+
+/// One chunk's share of a parallel fold: its sites merged in rank order,
+/// or the error that stopped it.
+struct ChunkFold {
+  SiteSummary summary;
+  std::optional<store::Error> error;
 };
 
-/// The one archive fold. Runs `visit(i, error)` + fold_visit for every
-/// i in [0, count) on the shard workers and merges the summaries on the
-/// calling thread in index order. Stops merging at the first failed
-/// index; sites after a failure already seen are skipped, never the ones
-/// before it, so the reported error is the earliest in index order at any
-/// thread count.
+/// The one archive fold. Each worker task runs `visit(i, error)` +
+/// fold_visit for the sites of one chunk and merges them in index order;
+/// the calling thread merges the chunks in index order. By the
+/// SiteSummary::merge contract that equals a site-by-site fold: counts,
+/// maps and sets exactly, and the one floating-point sum
+/// (Totals::expiry_days_added) up to rounding in its last bits, far below
+/// the digits reports render. Stops merging at the first failed index;
+/// sites after a failure already seen are skipped, never the ones before
+/// it, so the reported error is the earliest in index order at any thread
+/// count.
 template <typename VisitFn>
 std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
                                       const entities::EntityMap& entities,
@@ -29,33 +41,41 @@ std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
   std::atomic<int> first_failure{count};
   SiteSummary merged;
   std::optional<store::Error> failure;
-  runtime::ShardedRunner runner;
-  runner.run<SiteFold>(
-      0, count,
-      [&](int index, int /*worker*/) {
-        SiteFold out;
-        // Only a skip hint: a skipped site is never merged, because the
-        // failure before it stops the merge first.
-        if (index > first_failure.load(std::memory_order_relaxed)) return out;
-        const auto log = visit(index, &out.error);
-        if (!log) {
-          int seen = first_failure.load(std::memory_order_relaxed);
-          while (index < seen &&
-                 !first_failure.compare_exchange_weak(
-                     seen, index, std::memory_order_relaxed)) {
+  runtime::ShardedRunner runner(runtime::ShardOptions{.block_size = 1});
+  const int chunks = (count + kChunkSites - 1) / kChunkSites;
+  runner.run<ChunkFold>(
+      0, chunks,
+      [&](int chunk, int /*worker*/) {
+        ChunkFold out;
+        const int first = chunk * kChunkSites;
+        const int last = std::min(first + kChunkSites, count);
+        for (int index = first; index < last; ++index) {
+          // Only a skip hint. A failure at a lower index lies in an
+          // earlier chunk (this chunk's own would have ended the loop), so
+          // the merge stops there before it reaches this cut-short chunk.
+          if (index > first_failure.load(std::memory_order_relaxed)) break;
+          store::Error site_error;
+          const auto log = visit(index, &site_error);
+          if (!log) {
+            int seen = first_failure.load(std::memory_order_relaxed);
+            while (index < seen &&
+                   !first_failure.compare_exchange_weak(
+                       seen, index, std::memory_order_relaxed)) {
+            }
+            out.error = std::move(site_error);
+            break;
           }
-          return out;
+          out.summary.merge(fold_visit(entities, options, *log));
         }
-        out.summary = fold_visit(entities, options, *log);
         return out;
       },
-      [&](int /*index*/, SiteFold&& site) {
+      [&](int /*chunk*/, ChunkFold&& chunk) {
         if (failure) return;
-        if (!site.summary) {
-          failure = std::move(site.error);
+        if (chunk.error) {
+          failure = std::move(chunk.error);
           return;
         }
-        merged.merge(std::move(*site.summary));
+        merged.merge(std::move(chunk.summary));
       });
   if (failure) {
     if (error != nullptr) *error = std::move(*failure);

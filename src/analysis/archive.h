@@ -5,11 +5,12 @@
 // completeness filter either way.
 //
 // Every archive fold here runs on a runtime::ShardedRunner with all
-// hardware threads: workers decode and fold_visit sites concurrently, and
-// the calling thread merges the per-site summaries in rank order. The
-// merge sequence is exactly a sequential fold's, so results are
-// byte-identical at any thread count. A corrupt archive reports the first
-// corrupt block in rank order, with the error the sequential
+// hardware threads: workers decode, fold_visit and merge fixed runs of
+// consecutive sites, and the calling thread merges those in rank order.
+// The runs do not depend on the thread count, so results are
+// bit-identical at any thread count, and by the SiteSummary::merge
+// contract they equal a site-by-site fold. A corrupt archive reports the
+// first corrupt block in rank order, with the error the sequential
 // Reader::for_each would give.
 #pragma once
 
