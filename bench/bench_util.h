@@ -229,33 +229,25 @@ inline bool analyzer_from_archive_env(const corpus::Corpus& corpus,
   return true;
 }
 
-/// Runs the measurement crawl (no enforcement) into `analyzer`. A non-null
-/// `extra` extension forces a sequential crawl (shared instance); benches
-/// that want an extension at N threads use CrawlOptions::extension_factory
-/// directly. A non-null `trace` recorder receives the crawl's virtual-time
-/// trace. With CG_ARCHIVE set, the plain configuration (no extension,
-/// faults on, no trace) replays the archive instead of crawling; other
-/// configurations — guarded or fault-free comparison crawls the archive
-/// does not represent — always run live.
+/// Runs the measurement crawl (faults on, no extension) into `analyzer`. A
+/// non-null `trace` recorder receives the crawl's virtual-time trace. With
+/// CG_ARCHIVE set and neither a trace nor a policy requested, the archive
+/// replays instead of crawling.
 inline void run_measurement_crawl(
     const corpus::Corpus& corpus, analysis::Analyzer& analyzer,
-    browser::Extension* extra = nullptr, bool with_faults = true,
     int threads = 1, obs::TraceRecorder* trace = nullptr,
     policy::PolicyKind policy = policy::PolicyKind::kNone) {
   // Archives record the default single-jar crawl; a policy run must crawl
   // live (the archive cannot substitute for a partitioned jar).
-  if (extra == nullptr && with_faults && trace == nullptr &&
-      policy == policy::PolicyKind::kNone &&
+  if (trace == nullptr && policy == policy::PolicyKind::kNone &&
       analyzer_from_archive_env(corpus, analyzer)) {
     return;
   }
   crawler::Crawler crawler(corpus);
   crawler::CrawlOptions options;
-  if (!with_faults) options.fault_plan.reset();
   options.threads = threads;
   options.trace = trace;
   options.policy = policy;
-  if (extra != nullptr) options.extra_extensions.push_back(extra);
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);
   });

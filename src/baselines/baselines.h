@@ -1,18 +1,14 @@
-// Baseline defenses the paper's background section argues are insufficient
-// for the main-frame cookie-jar problem (§2.1), implemented as extensions so
-// bench_baselines can compare them against CookieGuard on the same corpus:
+// Filter-list content blocking (EasyList style), the §2.1 baseline defense
+// bench_paper compares against CookieGuard on the same corpus. It removes
+// known tracker scripts wholesale: effective against listed domains, blind
+// to the long tail, CNAME-cloaked scripts, and first-party proxies, and it
+// takes the vendor's legitimate functionality down with it.
 //
-//   * Third-party cookie blocking — stops cross-site Set-Cookie, which the
-//     simulated browser already enforces; it does nothing about scripts in
-//     the main frame ghost-writing first-party cookies.
-//   * Storage partitioning (ITP / Total Cookie Protection style) — isolates
-//     storage per top-level site, but every script in the main frame is in
-//     the *same* top-level context, so the shared first-party jar is
-//     untouched.
-//   * Filter-list content blocking (EasyList style) — removes known tracker
-//     scripts wholesale. Effective against listed domains, blind to the
-//     long tail, CNAME-cloaked scripts, and first-party proxies, and it
-//     takes the vendor's legitimate functionality down with it.
+// The other two §2.1 defenses need no extension here. The simulated browser
+// already rejects cross-site Set-Cookie (third-party cookie blocking), and
+// storage partitioning keys on the top-level site, which every main-frame
+// script shares; the `none`/`fpi`/`chips` rows of bench_policy_matrix
+// measure both.
 #pragma once
 
 #include <cstdint>
@@ -23,35 +19,6 @@
 #include "browser/extension.h"
 
 namespace cg::baselines {
-
-/// Explicit third-party cookie blocking. The simulated browser (like every
-/// 2025 browser, §1) already rejects cross-site Set-Cookie, so this
-/// extension only *counts* what it would have blocked — demonstrating the
-/// mechanism is orthogonal to the first-party jar problem.
-class ThirdPartyCookieBlocking final : public browser::Extension {
- public:
-  std::string name() const override { return "3p-cookie-blocking"; }
-  void on_headers_received(
-      browser::Page& page, const net::HttpRequest& request,
-      const net::HttpResponse& response,
-      const std::vector<cookies::CookieChange>& changes) override;
-
-  std::uint64_t cross_site_headers_seen() const {
-    return cross_site_headers_seen_;
-  }
-
- private:
-  std::uint64_t cross_site_headers_seen_ = 0;
-};
-
-/// Per-top-level-site storage partitioning. Partitioning keys on the
-/// top-level site; main-frame scripts all share that key, so this is a
-/// documented no-op for the paper's threat model (§2.1: "they do not
-/// isolate scripts within the same top-level context").
-class StoragePartitioning final : public browser::Extension {
- public:
-  std::string name() const override { return "storage-partitioning"; }
-};
 
 /// EasyList-style content blocker: drops script inclusions from, and
 /// requests to, a fixed list of known tracker domains (eTLD+1).

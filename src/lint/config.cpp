@@ -23,7 +23,7 @@ std::vector<std::string> split_words(std::string_view line) {
   return words;
 }
 
-/// "src/obs/trace.cpp" → "obs"; "bench/bench_fig2.cpp" → "bench".
+/// "src/obs/trace.cpp" → "obs"; "bench/bench_paper.cpp" → "bench".
 std::string default_module(std::string_view path) {
   const std::size_t first = path.find('/');
   if (first == std::string_view::npos) return std::string(path);

@@ -1,4 +1,4 @@
-// Tests for the baseline defenses (§2.1 comparison substrate).
+// Tests for the filter-list baseline defense (§2.1 comparison substrate).
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
@@ -79,40 +79,6 @@ TEST(FilterListBlockerTest, NeverBlocksDocumentRequests) {
   auto page = site.open();  // must load fine
   EXPECT_GT(page->main_frame().document().node_count(), 0u);
   EXPECT_EQ(blocker.stats().requests_blocked, 0u);
-}
-
-TEST(StoragePartitioningTest, IsInertInTheMainFrame) {
-  TestSite site({"tracker"});
-  site.catalog().add(spec_of(
-      "tracker", "https://cdn.tracker.com/t.js", Category::kAdvertising,
-      {script::set_cookie("_t", "{hex:8}", "; Path=/", false),
-       script::read_cookies()}));
-  StoragePartitioning partitioning;
-  site.browser().add_extension(&partitioning);
-  site.open();
-  // Partitioning keys on the top-level site; the main-frame script still
-  // ghost-writes into the shared first-party jar (§2.1).
-  EXPECT_EQ(site.browser().jar().size(), 1u);
-}
-
-TEST(ThirdPartyCookieBlockingTest, CountsCrossSiteHeaders) {
-  TestSite site({"px"});
-  site.catalog().add(spec_of("px", "https://cdn.tracker.com/t.js",
-                             Category::kAdvertising,
-                             {script::beacon("cdn.tracker.com", "/p")}));
-  site.browser().network().register_host(
-      "cdn.tracker.com", [](const net::HttpRequest&) {
-        net::HttpResponse res;
-        res.headers.add("Set-Cookie", "3p=1");
-        return res;
-      });
-  ThirdPartyCookieBlocking blocking;
-  site.browser().add_extension(&blocking);
-  site.open();
-  EXPECT_GE(blocking.cross_site_headers_seen(), 1u);
-  // And the jar never stored it (the browser itself drops cross-site
-  // cookies — the mechanism is redundant in 2025).
-  EXPECT_EQ(site.browser().jar().size(), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // asserting the paper's headline effects hold on a small corpus.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/analyzer.h"
 #include "cookieguard/cookieguard.h"
 #include "crawler/crawler.h"
+#include "policy/partition_policy.h"
 
 namespace cg {
 namespace {
@@ -23,11 +26,14 @@ class IntegrationTest : public ::testing::Test {
     return instance;
   }
 
-  analysis::Analyzer run_crawl(browser::Extension* guard) {
+  analysis::Analyzer run_crawl(
+      browser::Extension* guard,
+      policy::PolicyKind policy = policy::PolicyKind::kNone) {
     crawler::Crawler crawler(corpus());
     analysis::Analyzer analyzer(corpus().entities());
     crawler::CrawlOptions options;
     options.fault_plan.reset();
+    options.policy = policy;
     if (guard != nullptr) options.extra_extensions.push_back(guard);
     crawler.crawl(kSites, options, [&](instrument::VisitLog&& log) {
       analyzer.ingest(log);
@@ -66,6 +72,10 @@ TEST_F(IntegrationTest, BaselineMatchesPaperShape) {
   EXPECT_LT(t.sites_store_exfil / n, 0.05);
   EXPECT_EQ(t.sites_store_overwrite, 0);
   EXPECT_EQ(t.sites_store_delete, 0);
+  // Table 1's ordering: exfiltration is the most widespread action, then
+  // overwriting, then deletion.
+  EXPECT_GT(t.sites_doc_exfil, t.sites_doc_overwrite);
+  EXPECT_GT(t.sites_doc_overwrite, t.sites_doc_delete);
 
   // §5.5: overwrite attribute mix: value changes dominate, path changes are
   // rare.
@@ -94,6 +104,22 @@ TEST_F(IntegrationTest, CookieGuardBlocksMostCrossDomainActions) {
   EXPECT_GT(over_reduction, 0.70);
   EXPECT_GT(g.sites_doc_exfil, 0);  // residual: server-side GTM et al.
   EXPECT_GT(guard.stats().cookies_hidden, 0u);
+}
+
+TEST_F(IntegrationTest, SitePartitioningLeavesMainFrameActionsUnchanged) {
+  // §2.1: FPI and CHIPS key the jar on the top-level site, which every
+  // main-frame script shares, so they stop no cross-domain action.
+  const auto baseline = run_crawl(nullptr);
+  const auto& b = baseline.totals();
+  for (const auto policy : {policy::PolicyKind::kFirstPartyIsolation,
+                            policy::PolicyKind::kChips}) {
+    const auto partitioned = run_crawl(nullptr, policy);
+    const auto& p = partitioned.totals();
+    SCOPED_TRACE(std::string(policy::to_string(policy)));
+    EXPECT_EQ(p.sites_doc_exfil, b.sites_doc_exfil);
+    EXPECT_EQ(p.sites_doc_overwrite, b.sites_doc_overwrite);
+    EXPECT_EQ(p.sites_doc_delete, b.sites_doc_delete);
+  }
 }
 
 TEST_F(IntegrationTest, StrictIsolationEliminatesResidualOwnerActions) {

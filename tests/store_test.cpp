@@ -362,6 +362,39 @@ TEST(StoreRoundTripTest, RandomAccessByRank) {
   EXPECT_GT(stats->record_count, 0u);
 }
 
+TEST(StoreRoundTripTest, OpenReadsAMultiMegabyteFileAndRejectsMissingPaths) {
+  corpus::Corpus corpus(small_params(300));
+  const std::string archive = pack_to_string(corpus, 4);
+  ASSERT_GT(archive.size(), std::size_t{2} << 20);
+  const auto path = temp_path("cg_store_multi_mb.cgar");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(archive.data(), static_cast<std::streamsize>(archive.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  std::string bytes;
+  FileSource source(path.string());
+  ASSERT_TRUE(source.read_all(&bytes).ok());
+  ASSERT_EQ(bytes.size(), archive.size());
+  EXPECT_TRUE(bytes == archive);  // EXPECT_EQ would print megabytes
+
+  Error error;
+  const auto reader = Reader::open(path.string(), &error);
+  ASSERT_TRUE(reader.has_value()) << error.to_string();
+  const auto stats = reader->verify(&error);
+  ASSERT_TRUE(stats.has_value()) << error.to_string();
+  EXPECT_EQ(stats->sites, 300);
+  EXPECT_EQ(stats->file_bytes, archive.size());
+  std::filesystem::remove(path);
+
+  // A missing file is an I/O fault, not a corrupt archive.
+  EXPECT_EQ(FileSource(path.string()).read_all(&bytes).fault,
+            fault::IoFault::kStreamError);
+  EXPECT_FALSE(Reader::open(path.string(), &error).has_value());
+  EXPECT_EQ(error.code, fault::ArchiveFault::kIoError);
+}
+
 TEST(StoreDeterminismTest, ArchiveIsByteIdenticalAtAnyThreadCount) {
   corpus::Corpus corpus(small_params(80));
   const std::string one = pack_to_string(corpus, 1);
