@@ -70,7 +70,10 @@
 //
 // Everything the benches compute, behind one adoptable binary with
 // machine-readable output.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,9 +124,26 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
+  /// The flag's value as a base-10 integer in [min_value, max_value], or
+  /// `fallback` when the flag is absent. A malformed or out-of-range value
+  /// exits 2 naming the flag: a crawl that half-parsed --sites 12x has
+  /// measured the wrong corpus without saying so.
+  int get_int(const std::string& key, int fallback, int min_value,
+              int max_value) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const char* text = it->second.c_str();
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < min_value ||
+        value > max_value) {
+      std::fprintf(stderr,
+                   "cgsim: --%s must be an integer in [%d, %d], got \"%s\"\n",
+                   key.c_str(), min_value, max_value, text);
+      std::exit(2);
+    }
+    return static_cast<int>(value);
   }
 };
 
@@ -148,13 +168,28 @@ Args parse_args(int argc, char** argv) {
 
 corpus::Corpus make_corpus(const Args& args) {
   corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000);
+  params.site_count = args.get_int("sites", 2000, 1, INT_MAX);
   return corpus::Corpus(params);
 }
 
-std::uint64_t parse_u64(const std::string& text, std::uint64_t fallback) {
+/// --evo-seed: an unsigned 64-bit integer, decimal or 0x hex, or `fallback`
+/// when absent. Anything else exits 2, as Args::get_int does.
+std::uint64_t parse_seed(const Args& args, std::uint64_t fallback) {
+  const std::string text = args.get("evo-seed", "");
   if (text.empty()) return fallback;
-  return std::strtoull(text.c_str(), nullptr, 0);  // decimal or 0x hex
+  errno = 0;
+  char* end = nullptr;
+  const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
+  // strtoull skips blanks and negates a leading '-': require a digit first.
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr,
+                 "cgsim: --evo-seed must be an unsigned 64-bit integer "
+                 "(decimal or 0x hex), got \"%s\"\n",
+                 text.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 /// Comma-separated path list (for --base / --archive chains).
@@ -201,12 +236,12 @@ long peak_rss_kib() {
 /// three produce byte-identical blueprints for the same (seed, wave).
 std::unique_ptr<corpus::CorpusView> make_corpus_view(const Args& args) {
   corpus::CorpusParams params;
-  params.site_count = args.get_int("sites", 2000);
+  params.site_count = args.get_int("sites", 2000, 1, INT_MAX);
   if (args.has("wave") || args.has("evo-seed")) {
     evolve::EvolutionParams evolution;
-    evolution.seed = parse_u64(args.get("evo-seed", ""), evolution.seed);
-    return std::make_unique<evolve::WaveCorpus>(params, evolution,
-                                                args.get_int("wave", 0));
+    evolution.seed = parse_seed(args, evolution.seed);
+    return std::make_unique<evolve::WaveCorpus>(
+        params, evolution, args.get_int("wave", 0, 0, INT_MAX));
   }
   if (args.has("stream")) {
     return std::make_unique<corpus::StreamingCorpus>(params);
@@ -341,7 +376,7 @@ int cmd_crawl(const Args& args) {
   analysis::Analyzer analyzer(corpus.entities(), analyzer_options);
 
   crawler::CrawlOptions options;
-  options.threads = args.get_int("threads", 1);
+  options.threads = args.get_int("threads", 1, 0, INT_MAX);
   if (args.has("no-faults")) options.fault_plan.reset();
   const auto policy_kind = policy::parse_policy(args.get("policy", "none"));
   if (!policy_kind) {
@@ -407,7 +442,8 @@ int cmd_crawl(const Args& args) {
   // continues a killed crawl from the persisted file.
   const std::string checkpoint_path = args.get("checkpoint", "");
   if (!checkpoint_path.empty()) {
-    options.checkpoint_interval = args.get_int("checkpoint-every", 100);
+    options.checkpoint_interval =
+        args.get_int("checkpoint-every", 100, 1, INT_MAX);
     options.on_checkpoint = checkpoint_writer(checkpoint_path);
   }
 
@@ -434,7 +470,7 @@ int cmd_crawl(const Args& args) {
     }
     if (args.has("wave") || args.has("evo-seed")) {
       note += " at wave ";
-      note += std::to_string(args.get_int("wave", 0));
+      note += std::to_string(args.get_int("wave", 0, 0, INT_MAX));
     } else if (args.has("stream")) {
       note += " (streaming)";
     }
@@ -506,7 +542,8 @@ int cmd_pack(const Args& args) {
   std::optional<store::WaveChain> base_chain;
   std::unique_ptr<corpus::CorpusView> corpus_view;
   std::uint64_t evolution_seed = 0;
-  std::uint32_t wave = static_cast<std::uint32_t>(args.get_int("wave", 0));
+  std::uint32_t wave =
+      static_cast<std::uint32_t>(args.get_int("wave", 0, 0, INT_MAX));
 
   if (args.has("base")) {
     if (args.has("resume") || args.has("checkpoint")) {
@@ -538,7 +575,7 @@ int cmd_pack(const Args& args) {
     }
     evolve::EvolutionParams evolution;
     if (tail.evolution_seed() != 0) evolution.seed = tail.evolution_seed();
-    evolution.seed = parse_u64(args.get("evo-seed", ""), evolution.seed);
+    evolution.seed = parse_seed(args, evolution.seed);
     if (tail.evolution_seed() != 0 &&
         evolution.seed != tail.evolution_seed()) {
       std::fprintf(stderr,
@@ -553,7 +590,7 @@ int cmd_pack(const Args& args) {
     params.site_count = tail.total_site_count();
     params.seed = tail.corpus_seed();
     if (args.has("sites") &&
-        args.get_int("sites", 0) != params.site_count) {
+        args.get_int("sites", 0, 1, INT_MAX) != params.site_count) {
       std::fprintf(stderr,
                    "cgsim: --sites ignored for delta packs (the base chain "
                    "pins %d sites)\n",
@@ -565,14 +602,14 @@ int cmd_pack(const Args& args) {
     corpus_view = make_corpus_view(args);
     if (args.has("wave") || args.has("evo-seed")) {
       evolve::EvolutionParams defaults;
-      evolution_seed = parse_u64(args.get("evo-seed", ""), defaults.seed);
+      evolution_seed = parse_seed(args, defaults.seed);
     }
   }
   const corpus::CorpusView& corpus = *corpus_view;
   crawler::Crawler crawler(corpus);
 
   crawler::CrawlOptions options;
-  options.threads = args.get_int("threads", 1);
+  options.threads = args.get_int("threads", 1, 0, INT_MAX);
   if (args.has("no-faults")) options.fault_plan.reset();
   options.policy = *policy_kind;
   if (base_chain) options.delta_base = &*base_chain;
@@ -612,7 +649,8 @@ int cmd_pack(const Args& args) {
 
   const std::string checkpoint_path = args.get("checkpoint", "");
   if (!checkpoint_path.empty()) {
-    options.checkpoint_interval = args.get_int("checkpoint-every", 100);
+    options.checkpoint_interval =
+        args.get_int("checkpoint-every", 100, 1, INT_MAX);
   }
   // Self-healing I/O: read-back-verify appended blocks on request, and when
   // checkpointing, keep the unsynced tail in memory so an fsync loss at the
@@ -767,7 +805,8 @@ int cmd_query(const Args& args) {
     }
     int wave_index = chain->waves() - 1;
     if (args.has("wave")) {
-      const auto want = static_cast<std::uint32_t>(args.get_int("wave", 0));
+      const auto want =
+          static_cast<std::uint32_t>(args.get_int("wave", 0, 0, INT_MAX));
       wave_index = -1;
       for (int i = 0; i < chain->waves(); ++i) {
         if (chain->archive(i).wave() == want) wave_index = i;
@@ -782,7 +821,7 @@ int cmd_query(const Args& args) {
     // returns the same), so no corpus reconstruction is needed.
     analysis::Analyzer analyzer(entities::EntityMap::builtin());
     if (args.has("site")) {
-      const int rank = args.get_int("site", 0);
+      const int rank = args.get_int("site", 0, 1, INT_MAX);
       const auto log = chain->visit(rank, wave_index, &error);
       if (!log) {
         std::fprintf(stderr, "cgsim: site %d: %s\n", rank,
@@ -820,7 +859,7 @@ int cmd_query(const Args& args) {
   corpus::Corpus corpus(params);
 
   if (args.has("site")) {
-    const int rank = args.get_int("site", 0);
+    const int rank = args.get_int("site", 0, 1, INT_MAX);
     // Footer-index random access: one binary search + one block decode,
     // never a file walk. The latency line on stderr makes that visible
     // (and regressing to a scan impossible to miss); stdout stays
@@ -902,7 +941,7 @@ int cmd_verify_archive(const std::string& path) {
 
 int cmd_audit(const Args& args) {
   corpus::Corpus corpus(make_corpus(args));
-  const int index = args.get_int("site", 0) % corpus.size();
+  const int index = args.get_int("site", 0, 0, corpus.size() - 1);
   crawler::Crawler crawler(corpus);
   crawler::CrawlOptions options;  // visit() never applies the fault plan
   const auto log = crawler.visit(index, options);
@@ -920,8 +959,8 @@ int cmd_audit(const Args& args) {
 int cmd_breakage(const Args& args) {
   corpus::Corpus corpus(make_corpus(args));
   breakage::BreakageEvaluator evaluator(corpus);
-  const auto sample = evaluator.sample_sites(args.get_int("sample", 100),
-                                             corpus.size());
+  const auto sample = evaluator.sample_sites(
+      args.get_int("sample", 100, 1, INT_MAX), corpus.size());
   for (const auto mode :
        {breakage::GuardMode::kStrict, breakage::GuardMode::kEntityGrouping,
         breakage::GuardMode::kGroupingPlusPolicies}) {
@@ -1010,8 +1049,8 @@ int cmd_trace_check(const std::string& path) {
 
 int cmd_perf(const Args& args) {
   corpus::Corpus corpus(make_corpus(args));
-  const auto comparison = perf::compare_page_load(corpus, corpus.size(), {},
-                                                  args.get_int("threads", 1));
+  const auto comparison = perf::compare_page_load(
+      corpus, corpus.size(), {}, args.get_int("threads", 1, 0, INT_MAX));
   std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n",
               comparison.normal.load_event.mean_ms,
               comparison.guarded.load_event.mean_ms,

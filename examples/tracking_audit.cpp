@@ -2,7 +2,8 @@
 // API — the kind of tool a site owner would run to learn which third-party
 // scripts touch cookies they do not own.
 //
-// Usage: tracking_audit [site-index]   (default 41; CG_SITES-independent)
+// Usage: tracking_audit [site-index]   (0-199, default 41; ignores CG_SITES)
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -19,7 +20,20 @@ int main(int argc, char** argv) {
   corpus::Corpus corpus(params);
 
   int index = 41;
-  if (argc > 1) index = std::atoi(argv[1]) % corpus.size();
+  if (argc > 1) {
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || errno == ERANGE || value < 0 ||
+        value >= corpus.size()) {
+      std::fprintf(stderr,
+                   "tracking_audit: site-index must be an integer in "
+                   "[0, %d], got \"%s\"\n",
+                   corpus.size() - 1, argv[1]);
+      return 2;
+    }
+    index = static_cast<int>(value);
+  }
   const auto& bp = corpus.site(index);
 
   std::printf("Auditing https://%s/ (rank %d)\n", bp.host.c_str(), bp.rank);

@@ -17,8 +17,9 @@
 // index are immutable after open(); the block cache locks per shard; query
 // counters are atomics. Answers are rendered to report::Json with sorted
 // keys, so the response to a given query is byte-identical regardless of
-// thread count, interleaving, or cache state — the property bench_serve
-// and serve_test assert. (The entity map is the builtin static table, so
+// thread count, interleaving, or cache state — the property
+// ServerTest.ConcurrentReadersMatchSequentialAnswers and perfbench's
+// closed-loop check assert. (The entity map is the builtin static table, so
 // folds need no corpus reconstruction; the footer's corpus_seed is kept
 // only as provenance in stats.)
 //

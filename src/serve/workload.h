@@ -6,8 +6,9 @@
 // sample; WorkloadGenerator layers a seeded query-type mix on top. Both are
 // pure functions of their seed (script::Rng SplitMix64, cglint D2) — the
 // same spec generates the same query stream on any machine at any thread
-// count, which is what lets bench_serve compare N-thread answers against
-// 1-thread byte-for-byte.
+// count, which is what lets ServerTest.ConcurrentReadersMatchSequentialAnswers
+// and perfbench's closed-loop check compare N-thread answers against 1-thread
+// byte-for-byte.
 #pragma once
 
 #include <cstddef>

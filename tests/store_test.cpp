@@ -1,9 +1,9 @@
-// CGAR store tests: codec round-trips, archive determinism across thread
-// counts, analysis-from-archive equivalence (the parallel archive fold
-// against a sequential reference, corrupt and delta archives included),
-// footer/version rejection,
-// delta archives (codec, wave chains, splice rejection), and checkpoint
-// resume producing a byte-identical archive.
+// CGAR store tests: codec round-trips, archive size against the equivalent
+// JSON logs, archive determinism across thread counts, analysis-from-archive
+// equivalence (the parallel archive fold against a sequential reference,
+// corrupt and delta archives included), footer/version rejection, delta
+// archives (codec, wave chains, splice rejection), and checkpoint resume
+// producing a byte-identical archive.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +19,7 @@
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
 #include "entities/entity_map.h"
+#include "report/json.h"
 #include "report/report.h"
 #include "script/rng.h"
 #include "store/cgar.h"
@@ -394,6 +395,146 @@ TEST(StoreRoundTripTest, OpenReadsAMultiMegabyteFileAndRejectsMissingPaths) {
   EXPECT_FALSE(Reader::open(path.string(), &error).has_value());
   EXPECT_EQ(error.code, fault::ArchiveFault::kIoError);
 }
+
+// ---- archive density -----------------------------------------------------
+
+// The JSON strawman: the same VisitLog fields the CGAR codec persists,
+// serialized the way the paper's extension posts them (compact dump, one
+// object per site). Field-for-field parity keeps the comparison honest.
+std::size_t json_bytes(const instrument::VisitLog& log) {
+  report::Json j = report::Json::object();
+  j["site_host"] = log.site_host;
+  j["site"] = log.site;
+  j["rank"] = log.rank;
+  j["pages_visited"] = log.pages_visited;
+  j["has_cookie_logs"] = log.has_cookie_logs;
+  j["has_request_logs"] = log.has_request_logs;
+  j["failure"] = std::string(fault::failure_class_name(log.failure));
+  j["attempts"] = log.attempts;
+  report::Json timings = report::Json::object();
+  timings["dom_interactive"] = log.landing_timings.dom_interactive;
+  timings["dom_content_loaded"] = log.landing_timings.dom_content_loaded;
+  timings["load_event"] = log.landing_timings.load_event;
+  j["landing_timings"] = std::move(timings);
+
+  report::Json script_sets = report::Json::array();
+  for (const auto& r : log.script_sets) {
+    report::Json o = report::Json::object();
+    o["cookie_name"] = r.cookie_name;
+    o["value"] = r.value;
+    o["setter_url"] = r.setter_url;
+    o["setter_domain"] = r.setter_domain;
+    o["true_domain"] = r.true_domain;
+    o["api"] = static_cast<int>(r.api);
+    o["change_type"] = static_cast<int>(r.change_type);
+    o["category"] = static_cast<int>(r.category);
+    o["inclusion"] = static_cast<int>(r.inclusion);
+    o["value_changed"] = r.value_changed;
+    o["expires_changed"] = r.expires_changed;
+    o["domain_changed"] = r.domain_changed;
+    o["path_changed"] = r.path_changed;
+    o["prev_expires"] = r.prev_expires;
+    o["new_expires"] = r.new_expires;
+    o["time"] = r.time;
+    script_sets.push_back(std::move(o));
+  }
+  j["script_sets"] = std::move(script_sets);
+
+  report::Json http_sets = report::Json::array();
+  for (const auto& r : log.http_sets) {
+    report::Json o = report::Json::object();
+    o["cookie_name"] = r.cookie_name;
+    o["value"] = r.value;
+    o["response_host"] = r.response_host;
+    o["setter_domain"] = r.setter_domain;
+    o["http_only"] = r.http_only;
+    o["first_party"] = r.first_party;
+    o["change_type"] = static_cast<int>(r.change_type);
+    o["time"] = r.time;
+    http_sets.push_back(std::move(o));
+  }
+  j["http_sets"] = std::move(http_sets);
+
+  report::Json reads = report::Json::array();
+  for (const auto& r : log.reads) {
+    report::Json o = report::Json::object();
+    o["reader_url"] = r.reader_url;
+    o["reader_domain"] = r.reader_domain;
+    o["api"] = static_cast<int>(r.api);
+    o["cookies_returned"] = r.cookies_returned;
+    o["time"] = r.time;
+    reads.push_back(std::move(o));
+  }
+  j["reads"] = std::move(reads);
+
+  report::Json requests = report::Json::array();
+  for (const auto& r : log.requests) {
+    report::Json o = report::Json::object();
+    o["url"] = r.url;
+    o["host"] = r.host;
+    o["dest_domain"] = r.dest_domain;
+    o["initiator_url"] = r.initiator_url;
+    o["initiator_domain"] = r.initiator_domain;
+    o["destination"] = static_cast<int>(r.destination);
+    o["time"] = r.time;
+    requests.push_back(std::move(o));
+  }
+  j["requests"] = std::move(requests);
+
+  report::Json dom_mods = report::Json::array();
+  for (const auto& r : log.dom_mods) {
+    report::Json o = report::Json::object();
+    o["modifier_domain"] = r.modifier_domain;
+    o["target_domain"] = r.target_domain;
+    dom_mods.push_back(std::move(o));
+  }
+  j["dom_mods"] = std::move(dom_mods);
+
+  report::Json includes = report::Json::array();
+  for (const auto& r : log.includes) {
+    report::Json o = report::Json::object();
+    o["script_id"] = r.script_id;
+    o["url"] = r.url;
+    o["domain"] = r.domain;
+    o["category"] = static_cast<int>(r.category);
+    o["inclusion"] = static_cast<int>(r.inclusion);
+    o["is_inline"] = r.is_inline;
+    includes.push_back(std::move(o));
+  }
+  j["includes"] = std::move(includes);
+
+  return j.dump().size() + 1;  // + newline, one JSON line per site
+}
+
+// The store's size bar: a packed crawl must take at most a quarter of the
+// bytes of the same VisitLogs posted as JSON lines.
+TEST(StoreDensityTest, ArchiveIsAtMostAQuarterOfTheEquivalentJsonLogs) {
+  corpus::Corpus corpus(small_params(200));
+  crawler::Crawler crawler(corpus);
+  crawler::CrawlOptions options;
+  options.threads = 4;
+  WriterOptions writer_options;
+  writer_options.corpus_seed = corpus.params().seed;
+  const fault::FaultPlan plan = crawler.plan_for(options);
+  writer_options.fault_seed = plan.enabled() ? plan.params().seed : 0;
+  std::ostringstream out;
+  Writer writer(&out, writer_options);
+  options.archive = &writer;
+  std::size_t json_total = 0;
+  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
+    json_total += json_bytes(log);
+  });
+  Error error;
+  ASSERT_TRUE(writer.finish(&error)) << error.to_string();
+  const auto archive_bytes = static_cast<double>(out.str().size());
+  ASSERT_GT(json_total, 0u);
+  EXPECT_LE(archive_bytes, 0.25 * static_cast<double>(json_total))
+      << "archive is "
+      << 100.0 * archive_bytes / static_cast<double>(json_total)
+      << "% of JSON";
+}
+
+// ---- determinism ---------------------------------------------------------
 
 TEST(StoreDeterminismTest, ArchiveIsByteIdenticalAtAnyThreadCount) {
   corpus::Corpus corpus(small_params(80));
