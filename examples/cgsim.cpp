@@ -46,7 +46,8 @@
 //   --wave W         crawl/pack wave W of the evolving corpus (seeded
 //                    schedule; wave 0 is byte-identical to the base
 //                    corpus). Implies --stream.
-//   --evo-seed S     evolution schedule seed (decimal or 0x hex).
+//   --evo-seed S     evolution schedule seed (decimal without leading
+//                    zeros, or 0x hex).
 //   --totals-only    keep only the Totals counters during analysis —
 //                    aggregate state stays O(1) in site count (pairs /
 //                    domains / ranked views read empty).
@@ -147,18 +148,56 @@ struct Args {
   }
 };
 
+// Every flag cgsim accepts. A boolean flag takes no value; every other flag
+// needs one.
+struct FlagSpec {
+  const char* name;
+  bool boolean;
+};
+constexpr FlagSpec kFlags[] = {
+    {"archive", false},        {"base", false},
+    {"checkpoint", false},     {"checkpoint-every", false},
+    {"domains-csv", false},    {"evo-seed", false},
+    {"guard", true},           {"health", false},
+    {"json", false},           {"metrics", false},
+    {"no-faults", true},       {"out", false},
+    {"pairs-csv", false},      {"policy", false},
+    {"resume", false},         {"runtime-metrics", false},
+    {"sample", false},         {"scrub", true},
+    {"site", false},           {"sites", false},
+    {"stream", true},          {"threads", false},
+    {"totals-only", true},     {"trace", false},
+    {"trace-detail", false},   {"trace-wall-clock", true},
+    {"wave", false},
+};
+
+/// Parses `cgsim COMMAND [--flag [VALUE]]...`. An unknown flag, or a value
+/// flag with no value after it, exits 2 naming the flag: `--sites --json
+/// a.json` must not crawl some default-sized corpus. Tokens that are not
+/// flags are left to the command (trace-check and verify-archive read
+/// argv[2]).
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc > 1) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    // Flags without values: --guard
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string key = argv[i] + 2;
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& flag : kFlags) {
+      if (key == flag.name) spec = &flag;
+    }
+    if (spec == nullptr) {
+      std::fprintf(stderr, "cgsim: unknown flag --%s\n", key.c_str());
+      std::exit(2);
+    }
     // Built locally then moved in: a char* assign through the map's
     // operator[] trips the GCC 12 -Wrestrict false positive (PR 105329).
     std::string value = "1";
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+    if (!spec->boolean) {
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        std::fprintf(stderr, "cgsim: --%s needs a value\n", key.c_str());
+        std::exit(2);
+      }
       value.assign(argv[++i]);
     }
     args.options[key] = std::move(value);
@@ -173,19 +212,26 @@ corpus::Corpus make_corpus(const Args& args) {
 }
 
 /// --evo-seed: an unsigned 64-bit integer, decimal or 0x hex, or `fallback`
-/// when absent. Anything else exits 2, as Args::get_int does.
+/// when absent. A decimal seed has no leading zero (`010` is neither 10 nor
+/// octal 8 but an error). Anything else exits 2, as Args::get_int does.
 std::uint64_t parse_seed(const Args& args, std::uint64_t fallback) {
   const std::string text = args.get("evo-seed", "");
   if (text.empty()) return fallback;
+  const bool hex = text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+  const std::string digits = hex ? text.substr(2) : text;
+  bool valid = !digits.empty() && (hex || digits == "0" || digits[0] != '0');
+  for (const char c : digits) {
+    const auto u = static_cast<unsigned char>(c);
+    if (hex ? std::isxdigit(u) == 0 : std::isdigit(u) == 0) valid = false;
+  }
   errno = 0;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
-  // strtoull skips blanks and negates a leading '-': require a digit first.
-  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
-      *end != '\0' || errno == ERANGE) {
+  const std::uint64_t value =
+      valid ? std::strtoull(digits.c_str(), nullptr, hex ? 16 : 10) : 0;
+  if (!valid || errno == ERANGE) {
     std::fprintf(stderr,
                  "cgsim: --evo-seed must be an unsigned 64-bit integer "
-                 "(decimal or 0x hex), got \"%s\"\n",
+                 "(decimal without leading zeros, or 0x hex), got \"%s\"\n",
                  text.c_str());
     std::exit(2);
   }

@@ -1,11 +1,15 @@
 #include "analysis/fold.h"
 
 #include <algorithm>
+#include <bitset>
+#include <deque>
 #include <functional>
+#include <string_view>
 
 #include "crypto/base64.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
+#include "net/percent.h"
 #include "net/query.h"
 #include "net/url.h"
 #include "script/interpreter.h"
@@ -23,6 +27,210 @@ struct TimelineEvent {
   const instrument::ScriptCookieSetRecord* script = nullptr;
   const instrument::HttpCookieSetRecord* http = nullptr;
 };
+
+// A CookiePair as views into the visit's log; ordered and compared by value,
+// exactly like CookiePair.
+struct PairView {
+  std::string_view name;
+  std::string_view owner;
+  auto operator<=>(const PairView&) const = default;
+  CookiePair materialize() const {
+    return {std::string(name), std::string(owner)};
+  }
+};
+
+// Cookie name -> owning domain for the current visit: a sorted vector, as a
+// visit sets a few dozen names at most.
+class OwnerTable {
+  using Entry = std::pair<std::string_view, std::string_view>;
+  std::vector<Entry> entries_;
+
+  template <typename Entries>
+  static auto lower_bound(Entries& entries, std::string_view name) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), name,
+        [](const Entry& e, std::string_view key) { return e.first < key; });
+  }
+
+ public:
+  const std::string_view* find(std::string_view name) const {
+    const auto it = lower_bound(entries_, name);
+    return it != entries_.end() && it->first == name ? &it->second : nullptr;
+  }
+  void set(std::string_view name, std::string_view owner) {
+    const auto it = lower_bound(entries_, name);
+    if (it != entries_.end() && it->first == name) {
+      it->second = owner;
+    } else {
+      entries_.insert(it, {name, owner});
+    }
+  }
+  void erase(std::string_view name) {
+    const auto it = lower_bound(entries_, name);
+    if (it != entries_.end() && it->first == name) entries_.erase(it);
+  }
+};
+
+// An identifier segment of a value that `pair` held during the visit.
+struct Candidate {
+  std::string_view segment;
+  PairView pair;
+  auto operator<=>(const Candidate&) const = default;
+};
+
+// Text ordered by its hash first, so sorting and searching compare integers
+// and touch the bytes only on a hash tie. The order is arbitrary but
+// nothing depends on it: only equality and lookups do.
+struct HashedText {
+  std::size_t hash;
+  std::string_view text;
+  explicit HashedText(std::string_view t)
+      : hash(std::hash<std::string_view>{}(t)), text(t) {}
+  auto operator<=>(const HashedText&) const = default;
+};
+
+// One form (raw, Base64, MD5 or SHA-1 hex) of a candidate segment.
+struct Form {
+  HashedText text;
+  PairView pair;
+  auto operator<=>(const Form&) const = default;
+};
+
+// An identifier segment of a request's query.
+struct Sent {
+  HashedText segment;
+  const instrument::RequestRecord* request;
+};
+
+// An exfiltration match: `pair`'s identifier sent by `initiator` to `dest`.
+struct Hit {
+  PairView pair;
+  std::string_view initiator;
+  std::string_view dest;
+  auto operator<=>(const Hit&) const = default;
+};
+
+std::size_t count_distinct(std::vector<HashedText>& values) {
+  std::sort(values.begin(), values.end());
+  return static_cast<std::size_t>(
+      std::unique(values.begin(), values.end()) - values.begin());
+}
+
+// One past the last element of the run of `same` elements that starts at
+// `first`, looking no further than `last`.
+template <typename T, typename Same>
+std::size_t run_end(const std::vector<T>& items, std::size_t first,
+                    std::size_t last, Same same) {
+  std::size_t end = first + 1;
+  while (end < last && same(items[first], items[end])) ++end;
+  return end;
+}
+
+// The lengths of the identifier segments a visit's requests carry.
+class SentLengths {
+ public:
+  void add(std::size_t length) {
+    if (length < kTracked) {
+      short_.set(length);
+    } else {
+      long_ = true;
+    }
+  }
+  // Conservative: true for any length past the tracked range once any
+  // segment that long was sent.
+  bool has(std::size_t length) const {
+    return length < kTracked ? short_.test(length) : long_;
+  }
+
+ private:
+  static constexpr std::size_t kTracked = 64;
+  std::bitset<kTracked> short_;
+  bool long_ = false;
+};
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+// The lookup table for exfiltration matching: every form of every candidate,
+// sorted by text, keeping only forms that exactly one pair reaches. A form
+// two distinct pairs reach — a shared timestamp, or one pair's raw value
+// equal to another's MD5 hex — identifies neither and never matches. The
+// forms' text views point into the log or into `encoded`, which must
+// outlive the table.
+std::vector<Form> build_forms(std::vector<Candidate>& candidates,
+                              const AnalyzerOptions& options,
+                              const SentLengths& sent, std::string& encoded) {
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+
+  // Encode each distinct segment once, however many pairs reach it, into
+  // `encoded`; remember where each form starts. A form of a length no
+  // request segment has can never be looked up, so it is not computed: its
+  // presence could only make other texts of its own length ambiguous.
+  const bool encode = options.match_encoded_identifiers;
+  const bool md5 = encode && sent.has(32);
+  const bool sha1 = encode && sent.has(40);
+  struct Encoded {
+    std::size_t base64 = kNone, md5 = kNone, sha1 = kNone;
+  };
+  std::vector<Encoded> encoded_at;
+  for (std::size_t i = 0; encode && i < candidates.size(); ++i) {
+    const std::string_view segment = candidates[i].segment;
+    if (i > 0 && segment == candidates[i - 1].segment) continue;
+    Encoded& at = encoded_at.emplace_back();
+    if (sent.has((segment.size() + 2) / 3 * 4)) {
+      at.base64 = encoded.size();
+      encoded += crypto::base64_encode(segment);
+    }
+    if (md5) {
+      at.md5 = encoded.size();
+      encoded += crypto::Md5::hex(segment);
+    }
+    if (sha1) {
+      at.sha1 = encoded.size();
+      encoded += crypto::Sha1::hex(segment);
+    }
+  }
+
+  std::vector<Form> forms;
+  forms.reserve(candidates.size() * (encode ? 4 : 1));
+  const std::string_view all_encoded = encoded;
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const auto& [segment, pair] = candidates[i];
+    if (i > 0 && segment != candidates[i - 1].segment) ++distinct;
+    forms.push_back({HashedText(segment), pair});
+    if (!encode) continue;
+    const Encoded& at = encoded_at[distinct];
+    const auto add = [&](std::size_t offset, std::size_t size) {
+      if (offset == kNone) return;
+      forms.push_back({HashedText(all_encoded.substr(offset, size)), pair});
+    };
+    add(at.base64, (segment.size() + 2) / 3 * 4);
+    add(at.md5, 32);
+    add(at.sha1, 40);
+  }
+
+  std::sort(forms.begin(), forms.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < forms.size();) {
+    const std::size_t end =
+        run_end(forms, i, forms.size(),
+                [](const Form& a, const Form& b) { return a.text == b.text; });
+    // Sorted by (text, pair): one pair reaches the text iff both ends agree.
+    if (forms[i].pair == forms[end - 1].pair) forms[kept++] = forms[i];
+    i = end;
+  }
+  forms.erase(forms.begin() + static_cast<std::ptrdiff_t>(kept), forms.end());
+  return forms;
+}
+
+const Form* find_form(const std::vector<Form>& forms, const HashedText& text) {
+  const auto it = std::lower_bound(
+      forms.begin(), forms.end(), text,
+      [](const Form& f, const HashedText& key) { return f.text < key; });
+  return it != forms.end() && it->text == text ? &*it : nullptr;
+}
 
 }  // namespace
 
@@ -140,18 +348,22 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
   totals.dom_interactive.push_back(log.landing_timings.dom_interactive);
   totals.load_event.push_back(log.landing_timings.load_event);
 
+  // Per-visit state below holds views into `log`, which outlives the fold;
+  // only what lands in `out` is copied.
+
   // ---- §5.1 third-party prevalence ------------------------------------
   // The paper reports these over all 20,000 sites, not just the 14,917 with
   // complete logs.
-  std::set<std::string> tp_script_urls;
-  std::set<std::string> tp_ad_tracking_urls;
+  std::vector<HashedText> tp_script_urls;
+  std::vector<HashedText> tp_ad_tracking_urls;
   for (const auto& inc : log.includes) {
     if (inc.is_inline || inc.domain.empty() || inc.domain == log.site) {
       continue;
     }
-    tp_script_urls.insert(inc.url);
+    const HashedText url(inc.url);
+    tp_script_urls.push_back(url);
     if (script::is_ad_or_tracking(inc.category)) {
-      tp_ad_tracking_urls.insert(inc.url);
+      tp_ad_tracking_urls.push_back(url);
     }
     if (inc.inclusion == script::Inclusion::kDirect) {
       ++totals.direct_inclusions;
@@ -164,9 +376,9 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
   }
   if (!tp_script_urls.empty()) ++totals.sites_with_third_party;
   totals.third_party_script_count +=
-      static_cast<long long>(tp_script_urls.size());
+      static_cast<long long>(count_distinct(tp_script_urls));
   totals.third_party_ad_tracking_count +=
-      static_cast<long long>(tp_ad_tracking_urls.size());
+      static_cast<long long>(count_distinct(tp_ad_tracking_urls));
 
   if (!log.complete()) return out;
   ++totals.sites_complete;
@@ -202,53 +414,43 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
                      return a.time < b.time;
                    });
 
-  // name -> (owner domain, creating api). Inline/unknown setters are folded
-  // into the first party, as the paper does for inline scripts.
-  std::map<std::string, std::pair<std::string, CookieSource>> owner;
-  // Candidate identifiers: encoded form -> owning pair (for exfiltration).
-  // Ordered map (cglint D3): lookups dominate, but nothing downstream may
-  // ever depend on hash-table iteration order.
-  std::map<std::string, CookiePair> candidates;
-  std::set<CookiePair> pairs_this_visit;
-
-  // A candidate segment seen in the values of two *different* pairs (e.g. a
-  // shared timestamp) identifies neither — mark it ambiguous and never match
-  // it. The sentinel has an empty name.
-  static const CookiePair kAmbiguous{};
-  auto add_candidate = [&](std::string encoded, const CookiePair& pair) {
-    auto [it, inserted] = candidates.try_emplace(std::move(encoded), pair);
-    if (!inserted && it->second != pair) it->second = kAmbiguous;
+  // name -> owner domain. Inline/unknown setters are folded into the first
+  // party, as the paper does for inline scripts.
+  OwnerTable owner;
+  // Every (identifier segment, pair) a value offered; matching starts only
+  // after the timeline, so they are deduplicated and encoded there.
+  std::vector<Candidate> candidates;
+  auto add_candidates = [&](const PairView& pair, std::string_view value) {
+    script::for_each_identifier_segment(value, [&](std::string_view segment) {
+      candidates.push_back({segment, pair});
+    });
   };
-  auto add_candidates = [&](const CookiePair& pair, const std::string& value) {
-    for (const auto& segment : script::extract_identifier_segments(value)) {
-      add_candidate(segment, pair);
-      if (options.match_encoded_identifiers) {
-        add_candidate(crypto::base64_encode(segment), pair);
-        add_candidate(crypto::Md5::hex(segment), pair);
-        add_candidate(crypto::Sha1::hex(segment), pair);
-      }
+
+  // `out` starts empty, so a pair is new to `out.pairs` exactly when it is
+  // first recorded on this visit: that is when it counts one site.
+  auto record_pair = [&](const PairView& pair, CookieSource via) {
+    auto [it, inserted] = out.pairs.try_emplace(pair.materialize());
+    if (inserted) {
+      it->second.created_via = via;
+      ++it->second.sites_set;
     }
   };
 
-  auto record_pair = [&](const CookiePair& pair, CookieSource via) {
-    auto [it, inserted] = out.pairs.try_emplace(pair);
-    if (inserted) it->second.created_via = via;
-    if (pairs_this_visit.insert(pair).second) ++it->second.sites_set;
-  };
-
-  std::set<std::string> cross_over_apis;  // "doc" / "store" flags per site
-  std::set<std::string> cross_del_apis;
+  bool doc_overwrite = false;  // cross-domain actions per API, per site
+  bool store_overwrite = false;
+  bool doc_delete = false;
+  bool store_delete = false;
 
   for (const auto& event : events) {
     if (event.from_http) {
       const auto& h = *event.http;
       if (h.http_only) continue;  // invisible to scripts, out of scope
-      const auto it = owner.find(h.cookie_name);
-      if (it == owner.end()) {
+      const std::string_view* owning = owner.find(h.cookie_name);
+      if (owning == nullptr) {
         if (h.change_type == Type::kCreated ||
             h.change_type == Type::kOverwritten) {
-          owner[h.cookie_name] = {h.setter_domain, CookieSource::kHttpHeader};
-          const CookiePair pair{h.cookie_name, h.setter_domain};
+          owner.set(h.cookie_name, h.setter_domain);
+          const PairView pair{h.cookie_name, h.setter_domain};
           record_pair(pair, CookieSource::kHttpHeader);
           add_candidates(pair, h.value);
         }
@@ -257,7 +459,7 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
         // Header re-sets re-attribute ownership to the response site but are
         // NOT counted as cross-domain manipulations (§9: header actions are
         // out of scope).
-        add_candidates({h.cookie_name, it->second.first}, h.value);
+        add_candidates({h.cookie_name, *owning}, h.value);
       }
       continue;
     }
@@ -275,16 +477,16 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
     }
 
     // Fold inline/unknown setters into the first party.
-    const std::string actor =
+    const std::string_view actor =
         s.setter_domain.empty() ? log.site : s.setter_domain;
     const bool actor_is_tp = actor != log.site;
 
-    const auto it = owner.find(s.cookie_name);
-    if (it == owner.end()) {
+    const std::string_view* owning = owner.find(s.cookie_name);
+    if (owning == nullptr) {
       if (s.change_type == Type::kCreated ||
           s.change_type == Type::kOverwritten) {
-        owner[s.cookie_name] = {actor, s.api};
-        const CookiePair pair{s.cookie_name, actor};
+        owner.set(s.cookie_name, actor);
+        const PairView pair{s.cookie_name, actor};
         record_pair(pair, s.api);
         add_candidates(pair, s.value);
         if (actor_is_tp) {
@@ -296,24 +498,23 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
       continue;
     }
 
-    const std::string& owning_domain = it->second.first;
-    const CookiePair pair{s.cookie_name, owning_domain};
-    const std::string api_tag =
-        s.api == CookieSource::kCookieStore ? "store" : "doc";
+    const PairView pair{s.cookie_name, *owning};
+    const bool via_store = s.api == CookieSource::kCookieStore;
 
-    if (actor == owning_domain) {
+    if (actor == pair.owner) {
       // Same-domain refresh: extend candidates with the new value.
       if (s.change_type != Type::kDeleted) add_candidates(pair, s.value);
-      if (s.change_type == Type::kDeleted) owner.erase(it);
+      if (s.change_type == Type::kDeleted) owner.erase(s.cookie_name);
       continue;
     }
 
     // Cross-domain action (§4.3 step 3).
     if (s.change_type == Type::kOverwritten) {
-      auto& stats = out.pairs[pair];
+      CookiePair key = pair.materialize();
+      auto& stats = out.pairs[key];
       ++stats.overwriter_entities[entities.entity_for(actor)];
-      out.domains[actor].overwritten_pairs.insert(pair);
-      cross_over_apis.insert(api_tag);
+      out.domains[std::string(actor)].overwritten_pairs.insert(std::move(key));
+      (via_store ? store_overwrite : doc_overwrite) = true;
       ++totals.cross_overwrites;
       totals.overwrite_value_changed += s.value_changed ? 1 : 0;
       totals.overwrite_expires_changed += s.expires_changed ? 1 : 0;
@@ -332,24 +533,25 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
       // candidate for the overwriter's later requests too.
       add_candidates(pair, s.value);
     } else if (s.change_type == Type::kDeleted) {
-      auto& stats = out.pairs[pair];
+      CookiePair key = pair.materialize();
+      auto& stats = out.pairs[key];
       ++stats.deleter_entities[entities.entity_for(actor)];
-      out.domains[actor].deleted_pairs.insert(pair);
-      cross_del_apis.insert(api_tag);
-      owner.erase(it);
+      out.domains[std::string(actor)].deleted_pairs.insert(std::move(key));
+      (via_store ? store_delete : doc_delete) = true;
+      owner.erase(s.cookie_name);
     } else if (s.change_type == Type::kCreated) {
       // Re-creation after expiry/deletion: a fresh pair owned by the actor.
-      owner[s.cookie_name] = {actor, s.api};
-      const CookiePair fresh{s.cookie_name, actor};
+      owner.set(s.cookie_name, actor);
+      const PairView fresh{s.cookie_name, actor};
       record_pair(fresh, s.api);
       add_candidates(fresh, s.value);
     }
   }
 
-  if (cross_over_apis.count("doc") != 0) ++totals.sites_doc_overwrite;
-  if (cross_over_apis.count("store") != 0) ++totals.sites_store_overwrite;
-  if (cross_del_apis.count("doc") != 0) ++totals.sites_doc_delete;
-  if (cross_del_apis.count("store") != 0) ++totals.sites_store_delete;
+  if (doc_overwrite) ++totals.sites_doc_overwrite;
+  if (store_overwrite) ++totals.sites_store_overwrite;
+  if (doc_delete) ++totals.sites_doc_delete;
+  if (store_delete) ++totals.sites_store_delete;
 
   // ---- cookieStore usage details ----------------------------------------
   for (const auto& s : log.script_sets) {
@@ -362,35 +564,81 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
   }
 
   // ---- exfiltration detection (§4.3) -------------------------------------
-  bool site_doc_exfil = false;
-  bool site_store_exfil = false;
+  // Every identifier segment of every query value, collected before the
+  // lookup table is built: their lengths decide which encoded forms are
+  // worth computing.
+  std::vector<Sent> sent;
+  SentLengths sent_lengths;
+  std::deque<std::string> decoded;  // %- or +-encoded values, form-decoded
   for (const auto& request : log.requests) {
-    const std::string initiator = request.initiator_domain.empty()
-                                      ? log.site
-                                      : request.initiator_domain;
+    if (candidates.empty()) break;  // nothing can match
     const auto query_pos = request.url.find('?');
     if (query_pos == std::string::npos) continue;
-    const auto params = net::parse_query(request.url.substr(query_pos + 1));
-    for (const auto& param : params) {
-      for (const auto& segment :
-           script::extract_identifier_segments(param.value)) {
-        const auto hit = candidates.find(segment);
-        if (hit == candidates.end()) continue;
-        const CookiePair& pair = hit->second;
-        if (pair.name.empty()) continue;  // ambiguous segment
-        if (pair.owner_domain == initiator) continue;  // authorized
-        auto& stats = out.pairs[pair];
-        ++stats.exfiltrator_entities[entities.entity_for(initiator)];
-        ++stats.destination_entities[entities.entity_for(
-            request.dest_domain)];
-        out.domains[initiator].exfiltrated_pairs.insert(pair);
-        if (stats.created_via == CookieSource::kCookieStore) {
-          site_store_exfil = true;
-        } else {
-          site_doc_exfil = true;
-        }
-      }
+    net::for_each_query_param(
+        std::string_view(request.url).substr(query_pos + 1),
+        [&](std::string_view /*key*/, std::string_view value) {
+          if (net::needs_form_decode(value)) {
+            value = decoded.emplace_back(net::form_decode(value));
+          }
+          script::for_each_identifier_segment(
+              value, [&](std::string_view segment) {
+                sent.push_back({HashedText(segment), &request});
+                sent_lengths.add(segment.size());
+              });
+        });
+  }
+  std::string encoded;  // the Base64/MD5/SHA-1 forms `forms` points into
+  const std::vector<Form> forms =
+      build_forms(candidates, options, sent_lengths, encoded);
+  std::vector<Hit> hits;
+  for (const Sent& s : sent) {
+    const Form* form = find_form(forms, s.segment);
+    if (form == nullptr) continue;
+    const std::string_view initiator = s.request->initiator_domain.empty()
+                                           ? log.site
+                                           : s.request->initiator_domain;
+    if (form->pair.owner == initiator) continue;  // authorized
+    hits.push_back({form->pair, initiator, s.request->dest_domain});
+  }
+
+  // Apply each distinct (pair, initiator) and (pair, destination) once,
+  // with its hit count: the same counts as one update per hit.
+  bool site_doc_exfil = false;
+  bool site_store_exfil = false;
+  std::sort(hits.begin(), hits.end());
+  for (std::size_t first = 0; first < hits.size();) {
+    const auto pair_end =
+        run_end(hits, first, hits.size(),
+                [](const Hit& a, const Hit& b) { return a.pair == b.pair; });
+    const CookiePair pair = hits[first].pair.materialize();
+    auto& stats = out.pairs[pair];
+    if (stats.created_via == CookieSource::kCookieStore) {
+      site_store_exfil = true;
+    } else {
+      site_doc_exfil = true;
     }
+    for (std::size_t i = first; i < pair_end;) {
+      const auto end = run_end(hits, i, pair_end, [](const Hit& a, const Hit& b) {
+        return a.initiator == b.initiator;
+      });
+      stats.exfiltrator_entities[entities.entity_for(hits[i].initiator)] +=
+          static_cast<int>(end - i);
+      out.domains[std::string(hits[i].initiator)].exfiltrated_pairs.insert(
+          pair);
+      i = end;
+    }
+    std::sort(hits.begin() + static_cast<std::ptrdiff_t>(first),
+              hits.begin() + static_cast<std::ptrdiff_t>(pair_end),
+              [](const Hit& a, const Hit& b) { return a.dest < b.dest; });
+    for (std::size_t i = first; i < pair_end;) {
+      const auto end = run_end(hits, i, pair_end, [](const Hit& a, const Hit& b) {
+        return a.dest == b.dest;
+      });
+      stats.destination_entities[entities.entity_for(hits[i].dest)] +=
+          static_cast<int>(end - i);
+      i = end;
+    }
+    first = pair_end;
   }
   if (site_doc_exfil) ++totals.sites_doc_exfil;
   if (site_store_exfil) ++totals.sites_store_exfil;

@@ -29,39 +29,58 @@ constexpr std::uint32_t kSine[64] = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
+// Message word used by step i (RFC 1321 §3.4).
+constexpr int message_index(int i) {
+  return i < 16 ? i : i < 32 ? (5 * i + 1) % 16 : i < 48 ? (3 * i + 5) % 16
+                                                          : (7 * i) % 16;
+}
+
+// Step i of round R. The caller rotates the roles of (a, b, c, d) from step
+// to step instead of moving values, and each round runs unrolled, so every
+// constant folds to an immediate.
+template <int R>
+inline void step(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t d, const std::uint32_t* m, int i) {
+  std::uint32_t f = 0;
+  if constexpr (R == 0) {
+    f = (b & c) | (~b & d);
+  } else if constexpr (R == 1) {
+    f = (d & b) | (~d & c);
+  } else if constexpr (R == 2) {
+    f = b ^ c ^ d;
+  } else {
+    f = c ^ (b | ~d);
+  }
+  a = b + std::rotl(a + f + kSine[i] + m[message_index(i)],
+                    static_cast<int>(kShift[i]));
+}
+
+template <int R>
+inline void round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                  std::uint32_t& d, const std::uint32_t* m) {
+#pragma GCC unroll 4
+  for (int i = R * 16; i < R * 16 + 16; i += 4) {
+    step<R>(a, b, c, d, m, i);
+    step<R>(d, a, b, c, m, i + 1);
+    step<R>(c, d, a, b, m, i + 2);
+    step<R>(b, c, d, a, m, i + 3);
+  }
+}
+
 }  // namespace
 
 Md5::Md5() : state_{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476} {}
 
 void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) {
-    std::memcpy(&m[i], block + i * 4, 4);  // little-endian host assumed OK:
-    // x86-64/aarch64; for big-endian a byte-swap would be needed.
-  }
+  // Little-endian host assumed (x86-64/aarch64); a big-endian host would
+  // need a byte swap here.
+  std::memcpy(m, block, sizeof m);
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f = 0;
-    int g = 0;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + std::rotl(a + f + kSine[i] + m[g], static_cast<int>(kShift[i]));
-    a = tmp;
-  }
+  round<0>(a, b, c, d, m);
+  round<1>(a, b, c, d, m);
+  round<2>(a, b, c, d, m);
+  round<3>(a, b, c, d, m);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
@@ -94,12 +113,11 @@ void Md5::update(std::string_view data) {
 
 std::array<std::uint8_t, 16> Md5::digest() {
   const std::uint64_t bit_len = total_bytes_ * 8;
-  // Pad: 0x80 then zeros until 56 mod 64, then 8-byte little-endian length.
-  update(std::string_view("\x80", 1));
-  static constexpr char kZeros[64] = {};
-  while (buffer_len_ != 56) {
-    update(std::string_view(kZeros, 1));
-  }
+  // Pad: 0x80 then zeros until 56 mod 64, in one update, then the 8-byte
+  // little-endian length.
+  static constexpr char kPad[64] = {'\x80'};
+  update(std::string_view(kPad, buffer_len_ < 56 ? 56 - buffer_len_
+                                                 : 120 - buffer_len_));
   char len_bytes[8];
   std::memcpy(len_bytes, &bit_len, 8);
   // Bypass length accounting for the final length block.

@@ -6,46 +6,75 @@
 #include "crypto/hex.h"
 
 namespace cg::crypto {
+namespace {
+
+// One step of round R (FIPS 180-4 §6.1.2). The caller rotates the roles of
+// (a, b, c, d, e) from step to step instead of moving values, and each
+// round runs unrolled, so no step branches on its index.
+template <int R>
+inline void step(std::uint32_t a, std::uint32_t& b, std::uint32_t c,
+                 std::uint32_t d, std::uint32_t& e, std::uint32_t w) {
+  std::uint32_t f = 0;
+  std::uint32_t k = 0;
+  if constexpr (R == 0) {
+    f = (b & c) | (~b & d);
+    k = 0x5A827999;
+  } else if constexpr (R == 1) {
+    f = b ^ c ^ d;
+    k = 0x6ED9EBA1;
+  } else if constexpr (R == 2) {
+    f = (b & c) | (b & d) | (c & d);
+    k = 0x8F1BBCDC;
+  } else {
+    f = b ^ c ^ d;
+    k = 0xCA62C1D6;
+  }
+  e += std::rotl(a, 5) + f + k + w;
+  b = std::rotl(b, 30);
+}
+
+// The message schedule lives in a 16-word ring: word i (i >= 16) replaces
+// word i - 16 as it is computed.
+inline std::uint32_t schedule(std::uint32_t* w, int i) {
+  if (i < 16) return w[i];
+  w[i & 15] = std::rotl(
+      w[(i - 3) & 15] ^ w[(i - 8) & 15] ^ w[(i - 14) & 15] ^ w[i & 15], 1);
+  return w[i & 15];
+}
+
+template <int R>
+inline void round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                  std::uint32_t& d, std::uint32_t& e, std::uint32_t* w) {
+#pragma GCC unroll 4
+  for (int i = R * 20; i < R * 20 + 20; i += 5) {
+    step<R>(a, b, c, d, e, schedule(w, i));
+    step<R>(e, a, b, c, d, schedule(w, i + 1));
+    step<R>(d, e, a, b, c, schedule(w, i + 2));
+    step<R>(c, d, e, a, b, schedule(w, i + 3));
+    step<R>(b, c, d, e, a, schedule(w, i + 4));
+  }
+}
+
+}  // namespace
 
 Sha1::Sha1()
     : state_{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0} {}
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
            (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
            (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
            static_cast<std::uint32_t>(block[i * 4 + 3]);
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
                 e = state_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f = 0, k = 0;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDC;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6;
-    }
-    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = std::rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
+  round<0>(a, b, c, d, e, w);
+  round<1>(a, b, c, d, e, w);
+  round<2>(a, b, c, d, e, w);
+  round<3>(a, b, c, d, e, w);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
@@ -79,11 +108,10 @@ void Sha1::update(std::string_view data) {
 
 std::array<std::uint8_t, 20> Sha1::digest() {
   const std::uint64_t bit_len = total_bytes_ * 8;
-  update(std::string_view("\x80", 1));
-  static constexpr char kZeros[64] = {};
-  while (buffer_len_ != 56) {
-    update(std::string_view(kZeros, 1));
-  }
+  // Pad: 0x80 then zeros until 56 mod 64, in one update.
+  static constexpr char kPad[64] = {'\x80'};
+  update(std::string_view(kPad, buffer_len_ < 56 ? 56 - buffer_len_
+                                                 : 120 - buffer_len_));
   // Big-endian 64-bit length.
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));

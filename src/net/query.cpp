@@ -4,24 +4,18 @@
 
 namespace cg::net {
 
+bool needs_form_decode(std::string_view raw) {
+  for (const char c : raw) {
+    if (c == '%' || c == '+') return true;
+  }
+  return false;
+}
+
 std::vector<QueryParam> parse_query(std::string_view query) {
   std::vector<QueryParam> out;
-  std::size_t pos = 0;
-  while (pos <= query.size()) {
-    auto amp = query.find('&', pos);
-    if (amp == std::string_view::npos) amp = query.size();
-    const std::string_view segment = query.substr(pos, amp - pos);
-    if (!segment.empty()) {
-      const auto eq = segment.find('=');
-      if (eq == std::string_view::npos) {
-        out.push_back({form_decode(segment), ""});
-      } else {
-        out.push_back({form_decode(segment.substr(0, eq)),
-                       form_decode(segment.substr(eq + 1))});
-      }
-    }
-    pos = amp + 1;
-  }
+  for_each_query_param(query, [&](std::string_view key, std::string_view value) {
+    out.push_back({form_decode(key), form_decode(value)});
+  });
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "script/interpreter.h"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "crypto/base64.h"
@@ -256,21 +255,12 @@ std::vector<StoreCookie> parse_cookie_string(std::string_view cookie_string) {
   return out;
 }
 
-std::vector<std::string> extract_identifier_segments(std::string_view value,
-                                                     std::size_t min_len) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= value.size(); ++i) {
-    const bool is_delim =
-        i == value.size() ||
-        !std::isalnum(static_cast<unsigned char>(value[i]));
-    if (is_delim) {
-      if (i - start >= min_len) {
-        out.emplace_back(value.substr(start, i - start));
-      }
-      start = i + 1;
-    }
-  }
+std::vector<std::string_view> extract_identifier_segments(
+    std::string_view value, std::size_t min_len) {
+  std::vector<std::string_view> out;
+  for_each_identifier_segment(
+      value, [&](std::string_view segment) { out.push_back(segment); },
+      min_len);
   return out;
 }
 

@@ -47,6 +47,10 @@ void BlockCache::put(std::uint32_t archive, int rank,
   }
   Shard& shard = shard_for(rank);
   const Key key{archive, rank};
+  // Declared before the lock, so the evicted log is destroyed after the lock
+  // is released: freeing a decoded log is the slowest part of an eviction,
+  // and its deleter may re-enter this cache.
+  std::shared_ptr<const instrument::VisitLog> evicted;
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
@@ -55,6 +59,7 @@ void BlockCache::put(std::uint32_t archive, int rank,
     return;
   }
   if (shard.lru.size() >= per_shard_capacity_) {
+    evicted = std::move(shard.lru.back().log);
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);

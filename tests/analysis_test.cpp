@@ -2,11 +2,24 @@
 // action classification, encoded exfiltration matching, aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "analysis/analyzer.h"
+#include "corpus/corpus.h"
+#include "crawler/crawler.h"
 #include "crypto/base64.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
 #include "entities/entity_map.h"
+#include "net/query.h"
+#include "report/report.h"
+#include "script/interpreter.h"
 
 namespace cg::analysis {
 namespace {
@@ -535,6 +548,489 @@ TEST(FoldTest, AnalyzerIngestEqualsFoldMerge) {
             applied.totals().script_set_events);
   EXPECT_EQ(sequential.pairs().size(), applied.pairs().size());
   EXPECT_EQ(sequential.domains().size(), applied.domains().size());
+}
+
+}  // namespace
+}  // namespace cg::analysis
+
+// ---------------------------------------------------------------------------
+// Differential fold test: fold_visit against the fold it replaced, kept here
+// verbatim as the oracle. Two edits only: extract_identifier_segments now
+// returns views, so the oracle's string-keyed candidate map converts them
+// with std::string(segment).
+namespace cg::analysis {
+namespace {
+
+using Type = cookies::CookieChange::Type;
+
+struct TimelineEvent {
+  TimeMillis time;
+  bool from_http;
+  const instrument::ScriptCookieSetRecord* script = nullptr;
+  const instrument::HttpCookieSetRecord* http = nullptr;
+};
+
+SiteSummary reference_fold_visit(const entities::EntityMap& entities,
+                                 const AnalyzerOptions& options,
+                                 const instrument::VisitLog& log) {
+  SiteSummary out;
+  Totals& totals = out.totals;
+  ++totals.sites_crawled;
+
+  // Timings are collected for every crawled site (Table 4 uses all visits).
+  totals.dom_content_loaded.push_back(log.landing_timings.dom_content_loaded);
+  totals.dom_interactive.push_back(log.landing_timings.dom_interactive);
+  totals.load_event.push_back(log.landing_timings.load_event);
+
+  // ---- §5.1 third-party prevalence ------------------------------------
+  // The paper reports these over all 20,000 sites, not just the 14,917 with
+  // complete logs.
+  std::set<std::string> tp_script_urls;
+  std::set<std::string> tp_ad_tracking_urls;
+  for (const auto& inc : log.includes) {
+    if (inc.is_inline || inc.domain.empty() || inc.domain == log.site) {
+      continue;
+    }
+    tp_script_urls.insert(inc.url);
+    if (script::is_ad_or_tracking(inc.category)) {
+      tp_ad_tracking_urls.insert(inc.url);
+    }
+    if (inc.inclusion == script::Inclusion::kDirect) {
+      ++totals.direct_inclusions;
+    } else {
+      ++totals.indirect_inclusions;
+      if (script::is_ad_or_tracking(inc.category)) {
+        ++totals.indirect_ad_tracking;
+      }
+    }
+  }
+  if (!tp_script_urls.empty()) ++totals.sites_with_third_party;
+  totals.third_party_script_count +=
+      static_cast<long long>(tp_script_urls.size());
+  totals.third_party_ad_tracking_count +=
+      static_cast<long long>(tp_ad_tracking_urls.size());
+
+  if (!log.complete()) return out;
+  ++totals.sites_complete;
+
+  // ---- §5.2 API usage -----------------------------------------------------
+  bool uses_document_cookie = false;
+  bool uses_cookie_store = false;
+  for (const auto& read : log.reads) {
+    if (read.api == CookieSource::kDocumentCookie) uses_document_cookie = true;
+    if (read.api == CookieSource::kCookieStore) uses_cookie_store = true;
+  }
+  for (const auto& set : log.script_sets) {
+    if (set.api == CookieSource::kDocumentCookie) uses_document_cookie = true;
+    if (set.api == CookieSource::kCookieStore) uses_cookie_store = true;
+  }
+  if (uses_document_cookie) ++totals.sites_using_document_cookie;
+  if (uses_cookie_store) ++totals.sites_using_cookie_store;
+
+  // ---- ownership timeline (§4.3 steps 1-2) ------------------------------
+  // Merge script and HTTP set events by time. The FIRST setter of a name
+  // owns the pair; later actions by other script domains are cross-domain.
+  std::vector<TimelineEvent> events;
+  events.reserve(log.script_sets.size() + log.http_sets.size());
+  for (const auto& s : log.script_sets) {
+    events.push_back({s.time, false, &s, nullptr});
+  }
+  for (const auto& h : log.http_sets) {
+    if (!h.first_party) continue;  // third-party response cookies: out of scope
+    events.push_back({h.time, true, nullptr, &h});
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TimelineEvent& a, const TimelineEvent& b) {
+                     return a.time < b.time;
+                   });
+
+  // name -> (owner domain, creating api). Inline/unknown setters are folded
+  // into the first party, as the paper does for inline scripts.
+  std::map<std::string, std::pair<std::string, CookieSource>> owner;
+  // Candidate identifiers: encoded form -> owning pair (for exfiltration).
+  // Ordered map (cglint D3): lookups dominate, but nothing downstream may
+  // ever depend on hash-table iteration order.
+  std::map<std::string, CookiePair> candidates;
+  std::set<CookiePair> pairs_this_visit;
+
+  // A candidate segment seen in the values of two *different* pairs (e.g. a
+  // shared timestamp) identifies neither — mark it ambiguous and never match
+  // it. The sentinel has an empty name.
+  static const CookiePair kAmbiguous{};
+  auto add_candidate = [&](std::string encoded, const CookiePair& pair) {
+    auto [it, inserted] = candidates.try_emplace(std::move(encoded), pair);
+    if (!inserted && it->second != pair) it->second = kAmbiguous;
+  };
+  auto add_candidates = [&](const CookiePair& pair, const std::string& value) {
+    for (const auto& segment : script::extract_identifier_segments(value)) {
+      add_candidate(std::string(segment), pair);
+      if (options.match_encoded_identifiers) {
+        add_candidate(crypto::base64_encode(segment), pair);
+        add_candidate(crypto::Md5::hex(segment), pair);
+        add_candidate(crypto::Sha1::hex(segment), pair);
+      }
+    }
+  };
+
+  auto record_pair = [&](const CookiePair& pair, CookieSource via) {
+    auto [it, inserted] = out.pairs.try_emplace(pair);
+    if (inserted) it->second.created_via = via;
+    if (pairs_this_visit.insert(pair).second) ++it->second.sites_set;
+  };
+
+  std::set<std::string> cross_over_apis;  // "doc" / "store" flags per site
+  std::set<std::string> cross_del_apis;
+
+  for (const auto& event : events) {
+    if (event.from_http) {
+      const auto& h = *event.http;
+      if (h.http_only) continue;  // invisible to scripts, out of scope
+      const auto it = owner.find(h.cookie_name);
+      if (it == owner.end()) {
+        if (h.change_type == Type::kCreated ||
+            h.change_type == Type::kOverwritten) {
+          owner[h.cookie_name] = {h.setter_domain, CookieSource::kHttpHeader};
+          const CookiePair pair{h.cookie_name, h.setter_domain};
+          record_pair(pair, CookieSource::kHttpHeader);
+          add_candidates(pair, h.value);
+        }
+      } else if (h.change_type == Type::kOverwritten ||
+                 h.change_type == Type::kCreated) {
+        // Header re-sets re-attribute ownership to the response site but are
+        // NOT counted as cross-domain manipulations (§9: header actions are
+        // out of scope).
+        add_candidates({h.cookie_name, it->second.first}, h.value);
+      }
+      continue;
+    }
+
+    const auto& s = *event.script;
+    ++totals.script_set_events;
+    if (!s.setter_url.empty()) out.setter_script_urls.insert(s.setter_url);
+
+    // Attribution accuracy bookkeeping (ground truth vs stack-derived).
+    ++totals.attributed_sets;
+    if (s.setter_domain.empty()) {
+      ++totals.attribution_unknown;
+    } else if (s.setter_domain == s.true_domain) {
+      ++totals.attribution_correct;
+    }
+
+    // Fold inline/unknown setters into the first party.
+    const std::string actor =
+        s.setter_domain.empty() ? log.site : s.setter_domain;
+    const bool actor_is_tp = actor != log.site;
+
+    const auto it = owner.find(s.cookie_name);
+    if (it == owner.end()) {
+      if (s.change_type == Type::kCreated ||
+          s.change_type == Type::kOverwritten) {
+        owner[s.cookie_name] = {actor, s.api};
+        const CookiePair pair{s.cookie_name, actor};
+        record_pair(pair, s.api);
+        add_candidates(pair, s.value);
+        if (actor_is_tp) {
+          ++totals.tp_cookies_set;
+        } else {
+          ++totals.fp_cookies_set;
+        }
+      }
+      continue;
+    }
+
+    const std::string& owning_domain = it->second.first;
+    const CookiePair pair{s.cookie_name, owning_domain};
+    const std::string api_tag =
+        s.api == CookieSource::kCookieStore ? "store" : "doc";
+
+    if (actor == owning_domain) {
+      // Same-domain refresh: extend candidates with the new value.
+      if (s.change_type != Type::kDeleted) add_candidates(pair, s.value);
+      if (s.change_type == Type::kDeleted) owner.erase(it);
+      continue;
+    }
+
+    // Cross-domain action (§4.3 step 3).
+    if (s.change_type == Type::kOverwritten) {
+      auto& stats = out.pairs[pair];
+      ++stats.overwriter_entities[entities.entity_for(actor)];
+      out.domains[actor].overwritten_pairs.insert(pair);
+      cross_over_apis.insert(api_tag);
+      ++totals.cross_overwrites;
+      totals.overwrite_value_changed += s.value_changed ? 1 : 0;
+      totals.overwrite_expires_changed += s.expires_changed ? 1 : 0;
+      totals.overwrite_domain_changed += s.domain_changed ? 1 : 0;
+      totals.overwrite_path_changed += s.path_changed ? 1 : 0;
+      if (s.expires_changed && s.prev_expires > 0 && s.new_expires > 0) {
+        if (s.new_expires > s.prev_expires) {
+          ++totals.overwrite_expiry_extended;
+          totals.expiry_days_added +=
+              static_cast<double>(s.new_expires - s.prev_expires) / 86400000.0;
+        } else {
+          ++totals.overwrite_expiry_shortened;
+        }
+      }
+      // Ownership stays with the original creator; new value becomes a
+      // candidate for the overwriter's later requests too.
+      add_candidates(pair, s.value);
+    } else if (s.change_type == Type::kDeleted) {
+      auto& stats = out.pairs[pair];
+      ++stats.deleter_entities[entities.entity_for(actor)];
+      out.domains[actor].deleted_pairs.insert(pair);
+      cross_del_apis.insert(api_tag);
+      owner.erase(it);
+    } else if (s.change_type == Type::kCreated) {
+      // Re-creation after expiry/deletion: a fresh pair owned by the actor.
+      owner[s.cookie_name] = {actor, s.api};
+      const CookiePair fresh{s.cookie_name, actor};
+      record_pair(fresh, s.api);
+      add_candidates(fresh, s.value);
+    }
+  }
+
+  if (cross_over_apis.count("doc") != 0) ++totals.sites_doc_overwrite;
+  if (cross_over_apis.count("store") != 0) ++totals.sites_store_overwrite;
+  if (cross_del_apis.count("doc") != 0) ++totals.sites_doc_delete;
+  if (cross_del_apis.count("store") != 0) ++totals.sites_store_delete;
+
+  // ---- cookieStore usage details ----------------------------------------
+  for (const auto& s : log.script_sets) {
+    if (s.api != CookieSource::kCookieStore) continue;
+    totals.store_cookie_names.insert(s.cookie_name);
+    ++totals.store_setting_scripts;
+    if (!s.setter_domain.empty()) {
+      totals.store_script_domains.insert(s.setter_domain);
+    }
+  }
+
+  // ---- exfiltration detection (§4.3) -------------------------------------
+  bool site_doc_exfil = false;
+  bool site_store_exfil = false;
+  for (const auto& request : log.requests) {
+    const std::string initiator = request.initiator_domain.empty()
+                                      ? log.site
+                                      : request.initiator_domain;
+    const auto query_pos = request.url.find('?');
+    if (query_pos == std::string::npos) continue;
+    const auto params = net::parse_query(request.url.substr(query_pos + 1));
+    for (const auto& param : params) {
+      for (const auto& segment :
+           script::extract_identifier_segments(param.value)) {
+        const auto hit = candidates.find(std::string(segment));
+        if (hit == candidates.end()) continue;
+        const CookiePair& pair = hit->second;
+        if (pair.name.empty()) continue;  // ambiguous segment
+        if (pair.owner_domain == initiator) continue;  // authorized
+        auto& stats = out.pairs[pair];
+        ++stats.exfiltrator_entities[entities.entity_for(initiator)];
+        ++stats.destination_entities[entities.entity_for(
+            request.dest_domain)];
+        out.domains[initiator].exfiltrated_pairs.insert(pair);
+        if (stats.created_via == CookieSource::kCookieStore) {
+          site_store_exfil = true;
+        } else {
+          site_doc_exfil = true;
+        }
+      }
+    }
+  }
+  if (site_doc_exfil) ++totals.sites_doc_exfil;
+  if (site_store_exfil) ++totals.sites_store_exfil;
+
+  // ---- §8 DOM pilot --------------------------------------------------------
+  for (const auto& mod : log.dom_mods) {
+    if (mod.modifier_domain != log.site) {
+      ++totals.sites_with_cross_dom_modification;
+      break;
+    }
+  }
+
+  totals.unique_setter_scripts =
+      static_cast<long long>(out.setter_script_urls.size());
+  if (options.totals_only) {
+    out.pairs.clear();
+    out.domains.clear();
+    out.setter_script_urls.clear();
+    totals.unique_setter_scripts = 0;
+  }
+  return out;
+}
+
+// Everything a SiteSummary holds, as text: totals (timing vectors in full),
+// every pair with its four entity-count maps, every domain's pair sets and
+// the setter URLs.
+std::string dump(const SiteSummary& s) {
+  std::ostringstream out;
+  out << report::totals_to_json(s.totals).dump() << '\n';
+  const auto print_times = [&](const std::vector<TimeMillis>& times) {
+    for (const TimeMillis t : times) out << t << ',';
+    out << '\n';
+  };
+  print_times(s.totals.dom_content_loaded);
+  print_times(s.totals.dom_interactive);
+  print_times(s.totals.load_event);
+  out << s.totals.expiry_days_added << '\n';
+  const auto print_counts = [&](const char* label,
+                                const std::map<std::string, int>& counts) {
+    out << ' ' << label << ':';
+    for (const auto& [entity, n] : counts) out << entity << '=' << n << ',';
+  };
+  for (const auto& [pair, stats] : s.pairs) {
+    out << pair.name << '|' << pair.owner_domain << " via "
+        << static_cast<int>(stats.created_via) << " sites " << stats.sites_set;
+    print_counts("exfil", stats.exfiltrator_entities);
+    print_counts("dest", stats.destination_entities);
+    print_counts("over", stats.overwriter_entities);
+    print_counts("del", stats.deleter_entities);
+    out << '\n';
+  }
+  const auto print_pairs = [&](const char* label,
+                               const std::set<CookiePair>& pairs) {
+    out << ' ' << label << ':';
+    for (const auto& p : pairs) out << p.name << '|' << p.owner_domain << ',';
+  };
+  for (const auto& [domain, stats] : s.domains) {
+    out << domain;
+    print_pairs("exfil", stats.exfiltrated_pairs);
+    print_pairs("over", stats.overwritten_pairs);
+    print_pairs("del", stats.deleted_pairs);
+    out << '\n';
+  }
+  for (const auto& url : s.setter_script_urls) out << url << '\n';
+  return out.str();
+}
+
+std::string summary_json(SiteSummary summary) {
+  Analyzer analyzer(entities::EntityMap::builtin());
+  analyzer.apply(std::move(summary));
+  return report::summary_to_json(analyzer, 1u << 20).dump();
+}
+
+// Requires fold_visit == reference_fold_visit on `log` and returns the fold.
+SiteSummary expect_same_fold(const AnalyzerOptions& options,
+                             const VisitLog& log) {
+  const auto& entities = entities::EntityMap::builtin();
+  SiteSummary folded = fold_visit(entities, options, log);
+  const SiteSummary reference = reference_fold_visit(entities, options, log);
+  EXPECT_EQ(dump(folded), dump(reference)) << "rank " << log.rank;
+  return folded;
+}
+
+std::vector<AnalyzerOptions> all_option_sets() {
+  AnalyzerOptions raw_only;
+  raw_only.match_encoded_identifiers = false;
+  AnalyzerOptions totals_only;
+  totals_only.totals_only = true;
+  return {AnalyzerOptions{}, raw_only, totals_only};
+}
+
+TEST(FoldDifferentialTest, EqualsReferenceFoldOnSeededCorpora) {
+  const auto& entities = entities::EntityMap::builtin();
+  for (const std::uint64_t seed : {0xC00C1EULL, 0xF01DULL, 0x5EED5ULL}) {
+    corpus::CorpusParams params;
+    params.site_count = 300;
+    params.seed = seed;
+    const corpus::Corpus corpus(params);
+    std::vector<VisitLog> logs;
+    crawler::Crawler crawler(corpus);
+    crawler::CrawlOptions crawl_options;
+    crawl_options.threads = 0;
+    crawler.crawl(corpus.size(), crawl_options,
+                  [&](VisitLog&& log) { logs.push_back(std::move(log)); });
+    ASSERT_EQ(logs.size(), 300u);
+    for (const AnalyzerOptions& options : all_option_sets()) {
+      SiteSummary merged;
+      SiteSummary merged_reference;
+      int exfiltrating_sites = 0;
+      for (const VisitLog& log : logs) {
+        SiteSummary folded = expect_same_fold(options, log);
+        SiteSummary reference = reference_fold_visit(entities, options, log);
+        EXPECT_EQ(summary_json(folded), summary_json(reference))
+            << "rank " << log.rank;
+        exfiltrating_sites += folded.totals.sites_doc_exfil;
+        merged.merge(std::move(folded));
+        merged_reference.merge(std::move(reference));
+      }
+      // The corpus exercises matching, or the comparison shows nothing.
+      EXPECT_GT(exfiltrating_sites, 0) << "seed " << seed;
+      EXPECT_EQ(dump(merged), dump(merged_reference)) << "seed " << seed;
+      EXPECT_EQ(summary_json(std::move(merged)),
+                summary_json(std::move(merged_reference)))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(FoldDifferentialTest, RawValueEqualToAnotherPairsMd5IsAmbiguous) {
+  // Pair a's segment hashes (MD5) to pair b's raw value: that text reaches
+  // two pairs across encodings, so it identifies neither.
+  const std::string id = "868308499845957651";
+  auto log = base_log();
+  log.script_sets.push_back(set_record("a", "fb.1." + id, "a-owner.com", 1));
+  log.script_sets.push_back(
+      set_record("b", crypto::Md5::hex(id), "b-owner.com", 2));
+  log.requests.push_back(request(
+      "https://collector.example/p?h=" + crypto::Md5::hex(id), "reader.com",
+      5));
+  for (const AnalyzerOptions& options : all_option_sets()) {
+    const SiteSummary folded = expect_same_fold(options, log);
+    // Raw-only matching never forms a's MD5, so the text is b's alone.
+    const bool b_alone = !options.match_encoded_identifiers;
+    EXPECT_EQ(folded.totals.sites_doc_exfil, b_alone ? 1 : 0);
+  }
+  // a's raw segment still reaches a alone.
+  log.requests.push_back(
+      request("https://collector.example/p?id=" + id, "reader.com", 6));
+  const SiteSummary folded = expect_same_fold({}, log);
+  EXPECT_TRUE(folded.pairs.at({"a", "a-owner.com"}).exfiltrated());
+  EXPECT_FALSE(folded.pairs.at({"b", "b-owner.com"}).exfiltrated());
+}
+
+TEST(FoldDifferentialTest, SameDomainRefreshKeepsItsSegmentUnambiguous) {
+  // The owner re-sets the same value: the (segment, pair) candidate is
+  // offered twice, but one pair reaches it, so it still matches — once per
+  // request that carries it.
+  auto log = base_log();
+  log.script_sets.push_back(
+      set_record("_t", "v1.4443323641746", "tracker.com", 1));
+  log.script_sets.push_back(set_record("_t", "v1.4443323641746",
+                                       "tracker.com", 2,
+                                       CookieChange::Type::kOverwritten));
+  log.requests.push_back(request(
+      "https://collector.example/p?x=4443323641746", "reader.com", 5));
+  log.requests.push_back(request(
+      "https://collector.example/p?y=4443323641746", "reader.com", 6));
+  for (const AnalyzerOptions& options : all_option_sets()) {
+    const SiteSummary folded = expect_same_fold(options, log);
+    EXPECT_EQ(folded.totals.sites_doc_exfil, 1);
+    if (options.totals_only) continue;
+    const PairStats& stats = folded.pairs.at({"_t", "tracker.com"});
+    EXPECT_EQ(stats.sites_set, 1);
+    EXPECT_EQ(stats.exfiltrator_entities.at("reader.com"), 2);
+  }
+}
+
+TEST(FoldDifferentialTest, PercentAndPlusEncodedValuesAreFormDecoded) {
+  // Parameter values are form-decoded before segmenting: "%2E" becomes '.'
+  // and "%39" becomes '9' ('+' becomes a space). Undecoded, neither value
+  // yields its identifier as a segment.
+  auto log = base_log();
+  log.script_sets.push_back(
+      set_record("_a", "GA1.1.444332364.1746838827", "tag.com", 1));
+  log.script_sets.push_back(
+      set_record("_b", "fb.0.1746746266109.868308499845957651", "fb.com", 2));
+  log.requests.push_back(request(
+      "https://collector.example/p?cid=GA1%2E1%2E444332364", "reader.com", 5));
+  log.requests.push_back(request(
+      "https://collector.example/p?v=fb+86830849%39845957651&t=x", "other.com",
+      6));
+  for (const AnalyzerOptions& options : all_option_sets()) {
+    const SiteSummary folded = expect_same_fold(options, log);
+    EXPECT_EQ(folded.totals.sites_doc_exfil, 1);
+    if (options.totals_only) continue;
+    EXPECT_TRUE(folded.pairs.at({"_a", "tag.com"}).exfiltrated());
+    EXPECT_TRUE(folded.pairs.at({"_b", "fb.com"}).exfiltrated());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -216,6 +219,161 @@ TEST(Crc32cTest, DetectsSingleBitFlips) {
       bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
       EXPECT_NE(crc32c(bad), good) << "byte=" << byte << " bit=" << bit;
     }
+  }
+}
+
+// ---------------------------------------------- md5/sha1 padding oracle ----
+
+// The straightforward digests: the specifications' round loops, branching
+// on the step index, over a message padded one byte at a time. They are the
+// oracles for the unrolled block functions and the one-call padding.
+std::string reference_md5(std::string_view data) {
+  static constexpr int kShifts[4][4] = {
+      {7, 12, 17, 22}, {5, 9, 14, 20}, {4, 11, 16, 23}, {6, 10, 15, 21}};
+  std::string message(data);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  message.push_back('\x80');
+  while (message.size() % 64 != 56) message.push_back('\0');
+  for (int i = 0; i < 8; ++i) message.push_back(static_cast<char>(bits >> (8 * i)));
+  std::uint32_t h[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
+  for (std::size_t block = 0; block < message.size(); block += 64) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) {
+      m[i] = 0;
+      for (int b = 3; b >= 0; --b) {
+        m[i] = (m[i] << 8) |
+               static_cast<std::uint8_t>(message[block + 4 * i + b]);
+      }
+    }
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f = 0;
+      int g = 0;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      // K[i] = floor(2^32 * |sin(i + 1)|), RFC 1321 §3.4.
+      const auto k = static_cast<std::uint32_t>(
+          std::floor(std::fabs(std::sin(i + 1.0)) * 4294967296.0));
+      const std::uint32_t rotated =
+          std::rotl(a + f + k + m[g], kShifts[i / 16][i % 4]);
+      a = d;
+      d = c;
+      c = b;
+      b = b + rotated;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+  }
+  std::array<std::uint8_t, 16> out{};
+  for (int i = 0; i < 16; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(h[i / 4] >> (8 * (i % 4)));
+  }
+  return to_hex(out);
+}
+
+std::string reference_sha1(std::string_view data) {
+  std::string message(data);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  message.push_back('\x80');
+  while (message.size() % 64 != 56) message.push_back('\0');
+  for (int i = 7; i >= 0; --i) message.push_back(static_cast<char>(bits >> (8 * i)));
+  std::uint32_t h[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
+                        0xC3D2E1F0};
+  for (std::size_t block = 0; block < message.size(); block += 64) {
+    std::uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = 0;
+      for (int b = 0; b < 4; ++b) {
+        w[i] = (w[i] << 8) |
+               static_cast<std::uint8_t>(message[block + 4 * i + b]);
+      }
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    for (int i = 0; i < 80; ++i) {
+      std::uint32_t f = 0, k = 0;
+      if (i < 20) {
+        f = (b & c) | (~b & d);
+        k = 0x5A827999;
+      } else if (i < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ED9EBA1;
+      } else if (i < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8F1BBCDC;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xCA62C1D6;
+      }
+      const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
+      e = d;
+      d = c;
+      c = std::rotl(b, 30);
+      b = a;
+      a = tmp;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+  }
+  std::array<std::uint8_t, 20> out{};
+  for (int i = 0; i < 20; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return to_hex(out);
+}
+
+TEST(DigestOracleTest, OraclesReproduceThePublishedVectors) {
+  EXPECT_EQ(reference_md5(""), "d41d8cd98f00b204e9800998ecf8427e");
+  EXPECT_EQ(reference_md5("message digest"),
+            "f96b697d7cb7938d525a2f31aaf161d0");
+  EXPECT_EQ(reference_sha1("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(DigestOracleTest, EveryLengthAndSplitMatchesTheOracle) {
+  // Lengths 0..300 cross every padding case: 55 (pad fits), 56 and 63 (pad
+  // spills into a second block), 64 (exact block), and several blocks.
+  std::uint64_t state = 0xD16E57;
+  std::string data;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const std::string md5 = reference_md5(data);
+    const std::string sha1 = reference_sha1(data);
+    ASSERT_EQ(Md5::hex(data), md5) << "len=" << len;
+    ASSERT_EQ(Sha1::hex(data), sha1) << "len=" << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      Md5 md5_split;
+      Sha1 sha1_split;
+      std::size_t pos = 0;
+      while (pos < data.size()) {
+        const std::size_t chunk = std::min<std::size_t>(
+            splitmix64(state) % 70, data.size() - pos);
+        md5_split.update(std::string_view(data).substr(pos, chunk));
+        sha1_split.update(std::string_view(data).substr(pos, chunk));
+        pos += chunk;
+      }
+      ASSERT_EQ(to_hex(md5_split.digest()), md5) << "len=" << len;
+      ASSERT_EQ(to_hex(sha1_split.digest()), sha1) << "len=" << len;
+    }
+    data.push_back(static_cast<char>(splitmix64(state)));
   }
 }
 

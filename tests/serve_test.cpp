@@ -270,6 +270,28 @@ TEST(BlockCacheTest, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
+TEST(BlockCacheTest, EvictedLogIsReleasedOutsideTheShardLock) {
+  // The cache may hold a log's last reference. Destroying it while the
+  // shard's mutex is held would deadlock a deleter that re-enters the same
+  // shard, and would make every other reader of the shard wait on the free.
+  CacheConfig config;
+  config.max_entries = 1;
+  config.shards = 1;
+  BlockCache cache(config);
+  bool released = false;
+  cache.put(0, 1, 100,
+            std::shared_ptr<const instrument::VisitLog>(
+                new instrument::VisitLog(),
+                [&](const instrument::VisitLog* log) {
+                  EXPECT_NE(cache.get(0, 2), nullptr);  // same shard
+                  delete log;
+                  released = true;
+                }));
+  cache.put(0, 2, 100, log_for(2));  // evicts rank 1: its last reference
+  EXPECT_TRUE(released);
+  EXPECT_EQ(cache.stats().evictions, 1);
+}
+
 // ---- server ---------------------------------------------------------------
 
 corpus::CorpusParams small_params(int sites) {
