@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bitset>
-#include <deque>
 #include <functional>
+#include <list>
 #include <string_view>
 
 #include "crypto/base64.h"
@@ -151,7 +151,7 @@ class SentLengths {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 // The lookup table for exfiltration matching: every form of every candidate,
-// sorted by text, keeping only forms that exactly one pair reaches. A form
+// sorted by HashedText, keeping only forms that exactly one pair reaches. A form
 // two distinct pairs reach — a shared timestamp, or one pair's raw value
 // equal to another's MD5 hex — identifies neither and never matches. The
 // forms' text views point into the log or into `encoded`, which must
@@ -569,7 +569,9 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
   // worth computing.
   std::vector<Sent> sent;
   SentLengths sent_lengths;
-  std::deque<std::string> decoded;  // %- or +-encoded values, form-decoded
+  // %- or +-encoded values, form-decoded; a list, so `sent` views into
+  // earlier values stay valid as more are added.
+  std::list<std::string> decoded;
   for (const auto& request : log.requests) {
     if (candidates.empty()) break;  // nothing can match
     const auto query_pos = request.url.find('?');
@@ -618,9 +620,10 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
       site_doc_exfil = true;
     }
     for (std::size_t i = first; i < pair_end;) {
-      const auto end = run_end(hits, i, pair_end, [](const Hit& a, const Hit& b) {
-        return a.initiator == b.initiator;
-      });
+      const auto end =
+          run_end(hits, i, pair_end, [](const Hit& a, const Hit& b) {
+            return a.initiator == b.initiator;
+          });
       stats.exfiltrator_entities[entities.entity_for(hits[i].initiator)] +=
           static_cast<int>(end - i);
       out.domains[std::string(hits[i].initiator)].exfiltrated_pairs.insert(
@@ -631,9 +634,9 @@ SiteSummary fold_visit(const entities::EntityMap& entities,
               hits.begin() + static_cast<std::ptrdiff_t>(pair_end),
               [](const Hit& a, const Hit& b) { return a.dest < b.dest; });
     for (std::size_t i = first; i < pair_end;) {
-      const auto end = run_end(hits, i, pair_end, [](const Hit& a, const Hit& b) {
-        return a.dest == b.dest;
-      });
+      const auto end =
+          run_end(hits, i, pair_end,
+                  [](const Hit& a, const Hit& b) { return a.dest == b.dest; });
       stats.destination_entities[entities.entity_for(hits[i].dest)] +=
           static_cast<int>(end - i);
       i = end;

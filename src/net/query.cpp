@@ -13,9 +13,10 @@ bool needs_form_decode(std::string_view raw) {
 
 std::vector<QueryParam> parse_query(std::string_view query) {
   std::vector<QueryParam> out;
-  for_each_query_param(query, [&](std::string_view key, std::string_view value) {
-    out.push_back({form_decode(key), form_decode(value)});
-  });
+  for_each_query_param(query,
+                       [&](std::string_view key, std::string_view value) {
+                         out.push_back({form_decode(key), form_decode(value)});
+                       });
   return out;
 }
 

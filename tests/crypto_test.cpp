@@ -234,7 +234,9 @@ std::string reference_md5(std::string_view data) {
   const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
   message.push_back('\x80');
   while (message.size() % 64 != 56) message.push_back('\0');
-  for (int i = 0; i < 8; ++i) message.push_back(static_cast<char>(bits >> (8 * i)));
+  for (int i = 0; i < 8; ++i) {
+    message.push_back(static_cast<char>(bits >> (8 * i)));
+  }
   std::uint32_t h[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
   for (std::size_t block = 0; block < message.size(); block += 64) {
     std::uint32_t m[16];
@@ -290,7 +292,9 @@ std::string reference_sha1(std::string_view data) {
   const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
   message.push_back('\x80');
   while (message.size() % 64 != 56) message.push_back('\0');
-  for (int i = 7; i >= 0; --i) message.push_back(static_cast<char>(bits >> (8 * i)));
+  for (int i = 7; i >= 0; --i) {
+    message.push_back(static_cast<char>(bits >> (8 * i)));
+  }
   std::uint32_t h[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
                         0xC3D2E1F0};
   for (std::size_t block = 0; block < message.size(); block += 64) {
