@@ -1,22 +1,31 @@
-// Reproduces the paper's §5 measurement, Figure 5 and the §2.1 baseline
-// comparison from four crawls of one corpus:
+// Reproduces the paper's §5 measurement, Figure 5, the §2.1 baseline
+// comparison, the §7 evaluation (Table 3 breakage, Table 4 page-load cost)
+// and the §6 defense bake-off from nine crawls of one corpus:
 //
 //   1. the measurement crawl (faults on; `--policy`, `--trace` and
 //      CG_ARCHIVE apply to it): §5.1/§5.6 prevalence, §5.2 API usage,
-//      Table 1, Table 2, Figure 2, §5.5 + Table 5 + Figure 6, §8 DOM pilot;
+//      Table 1, Table 2, Figure 2, §5.5 + Table 5 + Figure 6, §8 DOM pilot,
+//      and the bake-off's Table 5 columns for its policy;
 //   2. a fault-free plain crawl and
-//   3. a fault-free crawl with one CookieGuard per worker: Figure 5, and the
-//      §2.1 "no defense" and "CookieGuard" rows;
+//   3. a fault-free crawl with one CookieGuard per worker: Figure 5, the
+//      §2.1 "no defense" and "CookieGuard" rows, Table 4, and the
+//      bake-off's load overhead for none and cookieguard;
 //   4. a fault-free crawl with one FilterListBlocker per worker: the §2.1
-//      filter-list row.
+//      filter-list row;
+//   5-7. crawl 1's configuration under each other bake-off policy: their
+//      Table 5 columns (the none row may replay CG_ARCHIVE);
+//   8-9. fault-free crawls under fpi and chips: their load overhead.
 //
-// Crawls 2-4 always run live and without a partitioning policy: the
-// archive records only crawl 1, and Figure 5 / §2.1 compare extensions on
-// the status-quo jar.
+// Crawls 2-4 run without a partitioning policy: Figure 5, §2.1 and Table 4
+// compare extensions on the status-quo jar. Table 3 and the bake-off's
+// breakage columns probe a 100-site sample (src/breakage/), not the corpus.
 #include "baselines/baselines.h"
+#include "breakage/breakage.h"
 #include "cookieguard/cookieguard.h"
+#include "perf/perf.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
@@ -28,6 +37,7 @@ namespace {
 
 using namespace cg;
 using cookies::CookieSource;
+using policy::PolicyKind;
 
 std::string top3(const std::map<std::string, int>& counts) {
   std::string out;
@@ -43,26 +53,83 @@ void section(const char* title) {
   std::printf("\n%s\n%s\n%s\n", rule.c_str(), title, rule.c_str());
 }
 
-/// A fault-free, policy-free live crawl of the whole corpus. A non-null
-/// `extension_for(worker)` is installed on that shard worker's browsers.
-analysis::Analyzer fault_free_crawl(
-    const corpus::Corpus& corpus, int threads,
-    const std::function<browser::Extension*(int worker)>& extension_for =
-        nullptr) {
-  analysis::Analyzer analyzer(corpus.entities());
-  crawler::Crawler crawler(corpus);
+/// What one whole-corpus crawl leaves behind. One sink folds every visit
+/// into the analyzer and the landing timings; the metrics registry and the
+/// summed counters of the per-worker CookieGuards (zero without a guard)
+/// feed the bake-off's blocked/hidden/partitioned columns.
+struct Crawl {
+  analysis::Analyzer analyzer;
+  perf::TimingCollector timings;
+  obs::MetricsRegistry metrics;
+  cookieguard::CookieGuard::Stats guard_stats;
+};
+
+/// Extensions are stateful, so each shard worker gets its own instance;
+/// enforcement is deterministic per visit, so the per-worker counters sum
+/// to one crawl-wide tally at any thread count.
+template <typename Extension>
+std::function<std::vector<browser::Extension*>(int)> per_worker(
+    std::vector<Extension>& instances) {
+  return [&instances](int worker) {
+    return std::vector<browser::Extension*>{
+        &instances[static_cast<std::size_t>(worker)]};
+  };
+}
+
+/// The one crawl helper: the whole corpus under `options` (policy, fault
+/// plan, per-worker extensions, trace, threads), metrics on.
+Crawl crawl(const corpus::Corpus& corpus, crawler::CrawlOptions options) {
+  Crawl out{analysis::Analyzer(corpus.entities()), {}, {}, {}};
+  options.metrics = &out.metrics;
+  crawler::Crawler(corpus).crawl(
+      corpus.size(), options, [&out](instrument::VisitLog&& log) {
+        out.analyzer.ingest(log);
+        out.timings.add(log);
+      });
+  return out;
+}
+
+/// crawl() with one strict CookieGuard per worker.
+Crawl guarded_crawl(const corpus::Corpus& corpus,
+                    crawler::CrawlOptions options) {
+  std::vector<cookieguard::CookieGuard> guards(
+      static_cast<std::size_t>(options.threads));
+  options.extension_factory = per_worker(guards);
+  Crawl out = crawl(corpus, options);
+  for (const auto& guard : guards) out.guard_stats.merge(guard.stats());
+  return out;
+}
+
+crawler::CrawlOptions crawl_options(int threads, PolicyKind policy,
+                                    bool faults) {
   crawler::CrawlOptions options;
-  options.fault_plan.reset();
   options.threads = threads;
-  if (extension_for) {
-    options.extension_factory = [&extension_for](int worker) {
-      return std::vector<browser::Extension*>{extension_for(worker)};
-    };
+  options.policy = policy;
+  if (!faults) options.fault_plan.reset();
+  return options;
+}
+
+/// The measurement crawl (faults on) under `policy`'s bake-off deployment:
+/// the engine, plus one strict CookieGuard per worker under kCookieGuard
+/// (the paper's deployment, the same browsers as `cgsim crawl --policy
+/// cookieguard`). A non-null `trace` receives its virtual-time trace. With
+/// CG_ARCHIVE set and neither a trace nor a policy, the archive replays
+/// instead: it records only this crawl's analysis, and under none no engine
+/// or extension blocks, hides or partitions, so its empty metrics read the
+/// same zeros a live crawl counts.
+Crawl measurement_crawl(const corpus::Corpus& corpus, int threads,
+                        PolicyKind policy,
+                        obs::TraceRecorder* trace = nullptr) {
+  if (trace == nullptr && policy == PolicyKind::kNone) {
+    Crawl replay{analysis::Analyzer(corpus.entities()), {}, {}, {}};
+    if (bench::analyzer_from_archive_env(corpus, replay.analyzer)) {
+      return replay;
+    }
   }
-  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
-    analyzer.ingest(log);
-  });
-  return analyzer;
+  auto options = crawl_options(threads, policy, /*faults=*/true);
+  options.trace = trace;
+  return policy == PolicyKind::kCookieGuard ? guarded_crawl(corpus, options)
+                                            : crawl(corpus, options);
 }
 
 void print_prevalence(const analysis::Analyzer& analyzer) {
@@ -334,7 +401,7 @@ void print_fig5(const analysis::Analyzer& plain,
 
 // §2.1: third-party cookie blocking and storage partitioning isolate
 // *sites*, not *scripts*, so they equal the "no defense" row (the
-// `none`/`fpi`/`chips` rows of bench_policy_matrix measure that). The
+// `none`/`fpi`/`chips` rows of the §6 bake-off measure that). The
 // filter list removes listed vendors (and their functionality) but misses
 // the long tail, CNAME-cloaked scripts and first-party proxies; CookieGuard
 // cuts all three action classes by >80% while keeping vendors running.
@@ -372,54 +439,251 @@ void print_baselines(const analysis::Analyzer& plain,
               static_cast<unsigned long long>(filter_stats.requests_blocked));
 }
 
+constexpr breakage::GuardMode kModes[] = {
+    breakage::GuardMode::kOff, breakage::GuardMode::kStrict,
+    breakage::GuardMode::kEntityGrouping,
+    breakage::GuardMode::kGroupingPlusPolicies};
+
+// Table 3: the paper's manual evaluation of 100 sites from the top 10k,
+// here executable functionality probes on the status-quo jar. Returns the
+// summaries in kModes order.
+//
+// Paper (strict CookieGuard):
+//           navigation  SSO  appearance  functionality
+//   minor       0%       1%      0%           3%
+//   major       0%      11%      0%           3%
+// Entity grouping + per-site domain policies reduce breakage to ~3%.
+std::array<breakage::Summary, 4> print_table3(
+    const breakage::BreakageEvaluator& evaluator,
+    const std::vector<int>& sample, int top_k) {
+  section("Table 3 — website breakage under CookieGuard");
+  std::printf("\nsample: %zu sites from the top %d\n", sample.size(), top_k);
+
+  static const char* kAspects[] = {"navigation", "sso", "appearance",
+                                   "functionality"};
+  std::array<breakage::Summary, 4> summaries;
+  for (std::size_t m = 0; m < summaries.size(); ++m) {
+    const auto& summary = summaries[m] =
+        evaluator.summarize(sample, kModes[m]);
+    std::printf("\n-- %s --\n", breakage::to_string(kModes[m]));
+    std::printf("  %-14s %8s %8s\n", "aspect", "minor", "major");
+    for (int aspect = 0; aspect < 4; ++aspect) {
+      std::printf("  %-14s %7.1f%% %7.1f%%\n", kAspects[aspect],
+                  100.0 * summary.minor[aspect] / summary.sites,
+                  100.0 * summary.major[aspect] / summary.sites);
+    }
+    std::printf("  sites with any major breakage: %.1f%%\n",
+                100.0 * summary.sites_major / summary.sites);
+  }
+
+  std::printf("\n  paper: strict mode shows 1%% minor / 11%% major SSO and "
+              "3%%/3%% functionality\n  breakage; the entity whitelist + "
+              "domain policies reduce breakage to 3%%.\n\n");
+  return summaries;
+}
+
+void print_timing_row(const char* name, double paper_mean_n,
+                      double paper_med_n, double paper_mean_g,
+                      double paper_med_g, const perf::TimingSummary& normal,
+                      const perf::TimingSummary& guarded) {
+  std::printf("  %-20s | %7.0f / %-7.0f (paper %4.0f/%-4.0f) | %7.0f / %-7.0f"
+              " (paper %4.0f/%-4.0f)\n",
+              name, normal.mean_ms, double(normal.median_ms), paper_mean_n,
+              paper_med_n, guarded.mean_ms, double(guarded.median_ms),
+              paper_mean_g, paper_med_g);
+}
+
+// Table 4: page-load cost of CookieGuard, from the Figure 5 pair's landing
+// timings.
+void print_table4(const perf::Comparison& comparison) {
+  section("Table 4 — page-load performance (mean / median ms)");
+  std::printf("\n  %-20s | %-38s | %s\n", "metric", "Normal",
+              "CookieGuard");
+  std::printf("  %s\n", std::string(100, '-').c_str());
+  print_timing_row("DOM Content Loaded", 1659, 946, 1896, 1020,
+                   comparison.normal.dom_content_loaded,
+                   comparison.guarded.dom_content_loaded);
+  print_timing_row("DOM Interactive", 1464, 842, 1702, 911,
+                   comparison.normal.dom_interactive,
+                   comparison.guarded.dom_interactive);
+  print_timing_row("Load Event", 3197, 2008, 3635, 2136,
+                   comparison.normal.load_event,
+                   comparison.guarded.load_event);
+  std::printf("\n  mean overhead on load event: %.0f ms (paper: ~300 ms "
+              "average overhead)\n\n",
+              comparison.mean_overhead_ms);
+}
+
+// §6 bake-off: the paper's evaluation axes under each partitioning policy.
+// FPI and CHIPS partition *between* top-level sites, so they neither break
+// nor protect the first-party jar: in-jar cross-domain overwriting and
+// deletion sail through both. Only CookieGuard, which partitions *within*
+// the jar by script origin, blocks the manipulation the paper measures, at
+// the cost of the Table 3 breakage it quantifies.
+struct MatrixRow {
+  PolicyKind kind = PolicyKind::kNone;
+  double breakage_minor_pct = 0;  // sites with any minor regression
+  double breakage_major_pct = 0;  // sites with any major regression
+  double overhead_ms = 0;         // mean load-event delta vs plain browser
+  // Manipulation axis (Table 5): what the defense stopped...
+  long long writes_blocked = 0;   // engine refusals + extension vetoes
+  long long cookies_hidden = 0;   // cookies filtered out of reads
+  long long partitioned_stores = 0;  // cookies diverted into partitions
+  // ...and what still reached analysis.
+  double doc_overwrite_pct = 0;  // sites with cross-domain overwriting
+  double doc_delete_pct = 0;     // sites with cross-domain deletion
+  double doc_exfil_pct = 0;      // sites with cross-domain exfiltration
+};
+
+/// One row from its three axes: breakage on the sample (Table 3), the
+/// paired fault-free load timings (Table 4), and the faults-on crawl under
+/// the deployment (Table 5).
+MatrixRow matrix_row(PolicyKind kind, const breakage::Summary& breakage,
+                     const perf::Comparison& timing, const Crawl& crawl) {
+  MatrixRow row;
+  row.kind = kind;
+  row.breakage_minor_pct = 100.0 * breakage.sites_minor / breakage.sites;
+  row.breakage_major_pct = 100.0 * breakage.sites_major / breakage.sites;
+  row.overhead_ms = timing.mean_overhead_ms;
+  row.writes_blocked =
+      crawl.metrics.counter("policy.writes_blocked") +
+      static_cast<long long>(crawl.guard_stats.writes_blocked);
+  row.cookies_hidden = crawl.metrics.counter("cookieguard.cookies_hidden");
+  row.partitioned_stores = crawl.metrics.counter("policy.partitioned_stores");
+  const auto& t = crawl.analyzer.totals();
+  const double n = std::max(1, t.sites_complete);
+  row.doc_overwrite_pct = 100.0 * t.sites_doc_overwrite / n;
+  row.doc_delete_pct = 100.0 * t.sites_doc_delete / n;
+  row.doc_exfil_pct = 100.0 * t.sites_doc_exfil / n;
+  return row;
+}
+
+void print_matrix(const std::vector<MatrixRow>& rows) {
+  section("§6 defense bake-off — CookieGuard vs FPI vs CHIPS vs none "
+          "(Tables 3/4/5 per policy)");
+  std::printf("\n-- defense bake-off matrix --\n");
+  std::printf("  %-12s %7s %7s %9s %9s %9s %11s %8s %8s %8s\n", "policy",
+              "minor%", "major%", "ovhd ms", "blocked", "hidden", "partition'd",
+              "overwr%", "delete%", "exfil%");
+  for (const auto& row : rows) {
+    std::printf(
+        "  %-12s %7.1f %7.1f %9.1f %9lld %9lld %11lld %8.1f %8.1f %8.1f\n",
+        std::string(policy::to_string(row.kind)).c_str(),
+        row.breakage_minor_pct, row.breakage_major_pct, row.overhead_ms,
+        row.writes_blocked, row.cookies_hidden, row.partitioned_stores,
+        row.doc_overwrite_pct, row.doc_delete_pct, row.doc_exfil_pct);
+  }
+
+  // Markdown copy, ready to paste into EXPERIMENTS.md.
+  std::printf("\n-- markdown (EXPERIMENTS.md) --\n");
+  std::printf(
+      "| policy | breakage minor | breakage major | load overhead (ms) | "
+      "manipulations blocked | cookies hidden | partitioned stores | "
+      "overwrite sites | delete sites | exfil sites |\n");
+  std::printf("|---|---|---|---|---|---|---|---|---|---|\n");
+  for (const auto& row : rows) {
+    std::printf(
+        "| %s | %.1f%% | %.1f%% | %.1f | %lld | %lld | %lld | %.1f%% | "
+        "%.1f%% | %.1f%% |\n",
+        std::string(policy::to_string(row.kind)).c_str(),
+        row.breakage_minor_pct, row.breakage_major_pct, row.overhead_ms,
+        row.writes_blocked, row.cookies_hidden, row.partitioned_stores,
+        row.doc_overwrite_pct, row.doc_delete_pct, row.doc_exfil_pct);
+  }
+
+  std::printf(
+      "\n  reading: FPI/CHIPS partition BETWEEN top-level sites, so they "
+      "neither break the\n  first-party jar nor protect it — in-jar "
+      "cross-domain overwriting/deletion match the\n  none row. Only "
+      "CookieGuard partitions WITHIN the jar (per script origin): it "
+      "blocks\n  the Table 5 manipulation at the price of the Table 3 "
+      "breakage.\n\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   corpus::Corpus corpus(bench::default_params());
   const int threads = bench::threads_from_args(argc, argv);
+  const PolicyKind measured_policy = bench::policy_from_args(argc, argv);
   bench::print_header(
-      "CookieGuard paper reproduction — §5 tables, Figure 5, §2.1 baselines",
+      "CookieGuard paper reproduction — §5 tables, Figure 5, §2.1 "
+      "baselines, Tables 3-4, §6 bake-off",
       corpus, threads);
 
-  analysis::Analyzer measured(corpus.entities());
-  {
+  const Crawl measured = [&] {
     const auto trace = bench::trace_recorder_from_args(argc, argv);
-    bench::run_measurement_crawl(corpus, measured, threads, trace.get(),
-                                 bench::policy_from_args(argc, argv));
-  }
-  print_prevalence(measured);
-  print_api_usage(measured);
-  print_table1(measured);
-  print_table2(measured);
-  print_fig2(measured);
-  print_table5_fig6(measured);
-  print_dom_pilot(measured);
+    return measurement_crawl(corpus, threads, measured_policy, trace.get());
+  }();
+  print_prevalence(measured.analyzer);
+  print_api_usage(measured.analyzer);
+  print_table1(measured.analyzer);
+  print_table2(measured.analyzer);
+  print_fig2(measured.analyzer);
+  print_table5_fig6(measured.analyzer);
+  print_dom_pilot(measured.analyzer);
 
-  // Extensions are stateful, so each shard worker gets its own instance;
-  // enforcement is deterministic per visit, and the counters are summed
-  // into one crawl-wide tally afterwards.
-  const auto plain = fault_free_crawl(corpus, threads);
-  std::vector<cookieguard::CookieGuard> guards(
-      static_cast<std::size_t>(threads));
-  const auto guarded = fault_free_crawl(
-      corpus, threads, [&guards](int worker) {
-        return &guards[static_cast<std::size_t>(worker)];
-      });
-  cookieguard::CookieGuard::Stats guard_stats;
-  for (const auto& guard : guards) guard_stats.merge(guard.stats());
-  print_fig5(plain, guarded, guard_stats);
+  const auto fault_free = crawl_options(threads, PolicyKind::kNone,
+                                        /*faults=*/false);
+  perf::Comparison table4;
+  {
+    const Crawl plain = crawl(corpus, fault_free);
+    const Crawl guarded = guarded_crawl(corpus, fault_free);
+    print_fig5(plain.analyzer, guarded.analyzer, guarded.guard_stats);
 
-  std::vector<baselines::FilterListBlocker> blockers(
-      static_cast<std::size_t>(threads));
-  const auto filtered = fault_free_crawl(
-      corpus, threads, [&blockers](int worker) {
-        return &blockers[static_cast<std::size_t>(worker)];
-      });
-  baselines::FilterListBlocker::Stats filter_stats;
-  for (const auto& blocker : blockers) {
-    filter_stats.scripts_blocked += blocker.stats().scripts_blocked;
-    filter_stats.requests_blocked += blocker.stats().requests_blocked;
+    std::vector<baselines::FilterListBlocker> blockers(
+        static_cast<std::size_t>(threads));
+    auto filter_options = fault_free;
+    filter_options.extension_factory = per_worker(blockers);
+    const Crawl filtered = crawl(corpus, filter_options);
+    baselines::FilterListBlocker::Stats filter_stats;
+    for (const auto& blocker : blockers) {
+      filter_stats.scripts_blocked += blocker.stats().scripts_blocked;
+      filter_stats.requests_blocked += blocker.stats().requests_blocked;
+    }
+    print_baselines(plain.analyzer, filtered.analyzer, guarded.analyzer,
+                    filter_stats);
+    table4 = perf::compare(plain.timings.metrics(), guarded.timings.metrics());
   }
-  print_baselines(plain, filtered, guarded, filter_stats);
+
+  const breakage::BreakageEvaluator evaluator(corpus);
+  const int top_k = std::min(10000, corpus.size());
+  const auto sample = evaluator.sample_sites(100, top_k);
+  const auto table3 = print_table3(evaluator, sample, top_k);
+  print_table4(table4);
+
+  // Each bake-off row reuses what an identical configuration already
+  // computed. none: Table 3's plain row, a zero-overhead self-pairing and
+  // the measurement crawl's configuration. cookieguard's engine is
+  // jar-identical to none, so its breakage is Table 3's strict row and its
+  // load timings are Figure 5's guarded crawl (perf_test pins both timing
+  // facts). The policy the measurement crawl ran under reuses that crawl.
+  std::vector<MatrixRow> rows;
+  for (const auto kind : {PolicyKind::kNone, PolicyKind::kCookieGuard,
+                          PolicyKind::kFirstPartyIsolation,
+                          PolicyKind::kChips}) {
+    breakage::Summary breakage_summary;
+    perf::Comparison timing;
+    if (kind == PolicyKind::kNone) {
+      breakage_summary = table3[0];
+      timing = perf::compare(table4.normal, table4.normal);
+    } else if (kind == PolicyKind::kCookieGuard) {
+      breakage_summary = table3[1];
+      timing = table4;
+    } else {
+      breakage_summary =
+          evaluator.summarize(sample, breakage::GuardMode::kOff, kind);
+      timing = perf::compare(
+          table4.normal,
+          crawl(corpus, crawl_options(threads, kind, /*faults=*/false))
+              .timings.metrics());
+    }
+    rows.push_back(
+        kind == measured_policy
+            ? matrix_row(kind, breakage_summary, timing, measured)
+            : matrix_row(kind, breakage_summary, timing,
+                         measurement_crawl(corpus, threads, kind)));
+  }
+  print_matrix(rows);
   return 0;
 }

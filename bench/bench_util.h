@@ -10,9 +10,10 @@
 // thread count, see src/runtime/. Pass `--trace FILE` to any bench using
 // trace_recorder_from_args to export the crawl as Chrome trace-event JSON.
 //
-// Malformed CG_SITES / CG_THREADS / --threads values are a hard error, not
-// a silent fallback: a bench that quietly ran with the wrong corpus size
-// has produced hours of wrong numbers before anyone notices.
+// Malformed CG_SITES / CG_THREADS / --threads values, and a flag with no
+// value, are a hard error (exit 2), not a silent fallback: a bench that
+// quietly ran with the wrong corpus size has produced hours of wrong
+// numbers before anyone notices.
 #pragma once
 
 #include <cerrno>
@@ -65,15 +66,29 @@ inline corpus::CorpusParams default_params() {
   return params;
 }
 
+/// The value after the last `flag` in argv, or null when the flag is
+/// absent. A flag with nothing but another flag (or the end of argv) after
+/// it exits 2 naming the flag: `--policy` alone must not crawl under none.
+inline const char* flag_value(int argc, char** argv, const char* flag) {
+  const char* value = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      std::fprintf(stderr, "error: %s needs a value\n", flag);
+      std::exit(2);
+    }
+    value = argv[++i];
+  }
+  return value;
+}
+
 /// Worker threads for the measurement crawl: `--threads N` wins, then
 /// CG_THREADS=<n>, else every hardware thread. 0 means all hardware
 /// threads; non-numeric or negative values abort.
 inline int threads_from_args(int argc = 0, char** argv = nullptr) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const int n = require_int(argv[i + 1], "--threads", 0, INT_MAX);
-      return n > 0 ? n : runtime::ThreadPool::hardware_threads();
-    }
+  if (const char* text = flag_value(argc, argv, "--threads")) {
+    const int n = require_int(text, "--threads", 0, INT_MAX);
+    return n > 0 ? n : runtime::ThreadPool::hardware_threads();
   }
   if (const char* env = std::getenv("CG_THREADS")) {
     const int n = require_int(env, "CG_THREADS", 0, INT_MAX);
@@ -89,10 +104,8 @@ inline int threads_from_args(int argc = 0, char** argv = nullptr) {
 /// numbers before anyone notices.
 inline policy::PolicyKind policy_from_args(int argc = 0,
                                            char** argv = nullptr) {
-  const char* name = std::getenv("CG_POLICY");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--policy") == 0) name = argv[i + 1];
-  }
+  const char* name = flag_value(argc, argv, "--policy");
+  if (name == nullptr) name = std::getenv("CG_POLICY");
   if (name == nullptr) return policy::PolicyKind::kNone;
   const auto kind = policy::parse_policy(name);
   if (!kind) {
@@ -107,9 +120,9 @@ inline policy::PolicyKind policy_from_args(int argc = 0,
 
 /// A streaming TraceRecorder for `--trace FILE` (or CG_TRACE=FILE), or null
 /// when tracing was not requested. Wire the result into
-/// CrawlOptions::trace / run_measurement_crawl; the file is finished when
-/// the recorder is destroyed. `--trace-detail full` upgrades from the
-/// crawl-level default.
+/// CrawlOptions::trace; the file is finished when the recorder is
+/// destroyed. `--trace-detail full` upgrades from the crawl-level default;
+/// any detail other than crawl or full exits 2.
 struct BenchTrace {
   // Heap-held so the recorder's stream pointer survives moves of this
   // struct (declared before `recorder` so the stream outlives finish()).
@@ -121,15 +134,18 @@ struct BenchTrace {
 inline BenchTrace trace_recorder_from_args(int argc = 0,
                                            char** argv = nullptr) {
   BenchTrace trace;
-  const char* path = std::getenv("CG_TRACE");
+  const char* path = flag_value(argc, argv, "--trace");
+  if (path == nullptr) path = std::getenv("CG_TRACE");
   obs::TraceConfig config;
   config.detail = obs::Detail::kCrawl;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-detail") == 0 && i + 1 < argc &&
-               std::strcmp(argv[i + 1], "full") == 0) {
+  if (const char* detail = flag_value(argc, argv, "--trace-detail")) {
+    if (std::strcmp(detail, "full") == 0) {
       config.detail = obs::Detail::kFull;
+    } else if (std::strcmp(detail, "crawl") != 0) {
+      std::fprintf(stderr,
+                   "error: --trace-detail must be crawl or full, got \"%s\"\n",
+                   detail);
+      std::exit(2);
     }
   }
   if (path == nullptr) return trace;
@@ -227,30 +243,6 @@ inline bool analyzer_from_archive_env(const corpus::Corpus& corpus,
     std::exit(2);
   }
   return true;
-}
-
-/// Runs the measurement crawl (faults on, no extension) into `analyzer`. A
-/// non-null `trace` recorder receives the crawl's virtual-time trace. With
-/// CG_ARCHIVE set and neither a trace nor a policy requested, the archive
-/// replays instead of crawling.
-inline void run_measurement_crawl(
-    const corpus::Corpus& corpus, analysis::Analyzer& analyzer,
-    int threads = 1, obs::TraceRecorder* trace = nullptr,
-    policy::PolicyKind policy = policy::PolicyKind::kNone) {
-  // Archives record the default single-jar crawl; a policy run must crawl
-  // live (the archive cannot substitute for a partitioned jar).
-  if (trace == nullptr && policy == policy::PolicyKind::kNone &&
-      analyzer_from_archive_env(corpus, analyzer)) {
-    return;
-  }
-  crawler::Crawler crawler(corpus);
-  crawler::CrawlOptions options;
-  options.threads = threads;
-  options.trace = trace;
-  options.policy = policy;
-  crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
-    analyzer.ingest(log);
-  });
 }
 
 inline void print_row(const char* label, double paper, double measured,

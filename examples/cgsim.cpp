@@ -10,8 +10,6 @@
 //                  [--trace-wall-clock] [--metrics FILE]
 //                  [--runtime-metrics FILE]
 //   cgsim audit    [--sites N] --site INDEX
-//   cgsim breakage [--sites N] [--sample K]
-//   cgsim perf     [--sites N] [--threads T]
 //   cgsim trace-check FILE
 //   cgsim pack     [--sites N] [--threads T] [--no-faults] --out FILE
 //                  [--policy none|cookieguard|fpi|chips]
@@ -62,7 +60,7 @@
 //                    answers are byte-identical to querying an
 //                    independently packed full archive of that wave.
 //
-// --threads 0 (the default for crawl/perf here is 1) uses every hardware
+// --threads 0 (the default for crawl here is 1) uses every hardware
 // thread; any thread count produces byte-identical output — including the
 // --trace / --metrics files (virtual-time only; --trace-wall-clock
 // deliberately trades that identity for real-time annotations).
@@ -90,7 +88,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
-#include "breakage/breakage.h"
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
@@ -99,7 +96,6 @@
 #include "evolve/wave_corpus.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "perf/perf.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
 #include "runtime/thread_pool.h"
@@ -124,6 +120,11 @@ struct Args {
   std::string get(const std::string& key, const std::string& fallback) const {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
+  }
+  /// The value of a flag known to be present (check has() first): a value
+  /// flag always carries one, so there is no fallback to invent.
+  const std::string& value(const std::string& key) const {
+    return options.at(key);
   }
   /// The flag's value as a base-10 integer in [min_value, max_value], or
   /// `fallback` when the flag is absent. A malformed or out-of-range value
@@ -163,12 +164,11 @@ constexpr FlagSpec kFlags[] = {
     {"no-faults", true},       {"out", false},
     {"pairs-csv", false},      {"policy", false},
     {"resume", false},         {"runtime-metrics", false},
-    {"sample", false},         {"scrub", true},
-    {"site", false},           {"sites", false},
-    {"stream", true},          {"threads", false},
-    {"totals-only", true},     {"trace", false},
-    {"trace-detail", false},   {"trace-wall-clock", true},
-    {"wave", false},
+    {"scrub", true},           {"site", false},
+    {"sites", false},          {"stream", true},
+    {"threads", false},        {"totals-only", true},
+    {"trace", false},          {"trace-detail", false},
+    {"trace-wall-clock", true}, {"wave", false},
 };
 
 /// Parses `cgsim COMMAND [--flag [VALUE]]...`. An unknown flag, or a value
@@ -352,17 +352,17 @@ bool print_analysis(const Args& args, const analysis::Analyzer& analyzer) {
   if (args.has("json")) {
     std::ostringstream out;
     out << report::summary_to_json(analyzer, 20).dump(2) << '\n';
-    ok = write_output(args.get("json", "summary.json"), out.str()) && ok;
+    ok = write_output(args.value("json"), out.str()) && ok;
   }
   if (args.has("pairs-csv")) {
     std::ostringstream out;
     report::write_pairs_csv(analyzer, 20, out);
-    ok = write_output(args.get("pairs-csv", "pairs.csv"), out.str()) && ok;
+    ok = write_output(args.value("pairs-csv"), out.str()) && ok;
   }
   if (args.has("domains-csv")) {
     std::ostringstream out;
     report::write_domains_csv(analyzer, 20, out);
-    ok = write_output(args.get("domains-csv", "domains.csv"), out.str()) && ok;
+    ok = write_output(args.value("domains-csv"), out.str()) && ok;
   }
   return ok;
 }
@@ -443,7 +443,7 @@ int cmd_crawl(const Args& args) {
       std::fprintf(stderr, "cgsim: --trace-detail must be crawl or full\n");
       return 2;
     }
-    const std::string trace_path = args.get("trace", "trace.json");
+    const std::string trace_path = args.value("trace");
     trace_out.open(trace_path);
     if (!trace_out) {
       std::fprintf(stderr, "cgsim: cannot open %s\n", trace_path.c_str());
@@ -496,7 +496,7 @@ int cmd_crawl(const Args& args) {
   const auto sink = [&](instrument::VisitLog&& log) { analyzer.ingest(log); };
   crawler::CrawlHealth health;
   if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.get("resume", ""));
+    const auto checkpoint = load_checkpoint(args.value("resume"));
     if (!checkpoint) return 1;
     if (checkpoint->corpus_seed != corpus.params().seed ||
         checkpoint->target_count > corpus.size()) {
@@ -529,27 +529,24 @@ int cmd_crawl(const Args& args) {
     trace_out.flush();
     if (!trace_out.good()) {
       std::fprintf(stderr, "cgsim: writing %s failed\n",
-                   args.get("trace", "trace.json").c_str());
+                   args.value("trace").c_str());
       return 1;
     }
     std::printf("wrote %s (%zu trace events)\n",
-                args.get("trace", "trace.json").c_str(),
+                args.value("trace").c_str(),
                 recorder->event_count());
   }
   if (args.has("metrics")) {
     std::ostringstream out;
     out << metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("metrics", "metrics.json"), out.str())) {
+    if (!write_output(args.value("metrics"), out.str())) {
       return 1;
     }
   }
   if (args.has("runtime-metrics")) {
     std::ostringstream out;
     out << scheduler_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("runtime-metrics", "runtime.json"),
-                      out.str())) {
-      return 1;
-    }
+    if (!write_output(args.value("runtime-metrics"), out.str())) return 1;
   }
 
   std::printf(
@@ -561,7 +558,7 @@ int cmd_crawl(const Args& args) {
   if (args.has("health")) {
     std::ostringstream out;
     out << health.to_json().dump(2) << '\n';
-    if (!write_output(args.get("health", "health.json"), out.str())) return 1;
+    if (!write_output(args.value("health"), out.str())) return 1;
   }
 
   // The streaming-crawl RSS gate reads this line; stderr because peak RSS
@@ -598,7 +595,7 @@ int cmd_pack(const Args& args) {
                    "packs (--base)\n");
       return 2;
     }
-    base_chain = open_chain(split_paths(args.get("base", "")), &base_readers);
+    base_chain = open_chain(split_paths(args.value("base")), &base_readers);
     if (!base_chain) return 1;
     const store::Reader& tail = base_chain->archive(base_chain->waves() - 1);
     if (to_archive_policy(*policy_kind) != tail.policy()) {
@@ -712,7 +709,7 @@ int cmd_pack(const Args& args) {
   crawler::CrawlHealth health;
 
   if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.get("resume", ""));
+    const auto checkpoint = load_checkpoint(args.value("resume"));
     if (!checkpoint) return 1;
     if (checkpoint->corpus_seed != corpus.params().seed ||
         checkpoint->target_count > corpus.size()) {
@@ -786,7 +783,7 @@ int cmd_pack(const Args& args) {
   if (args.has("metrics")) {
     std::ostringstream out;
     out << pack_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.get("metrics", "metrics.json"), out.str())) {
+    if (!write_output(args.value("metrics"), out.str())) {
       return 1;
     }
   }
@@ -1002,22 +999,6 @@ int cmd_audit(const Args& args) {
   return 0;
 }
 
-int cmd_breakage(const Args& args) {
-  corpus::Corpus corpus(make_corpus(args));
-  breakage::BreakageEvaluator evaluator(corpus);
-  const auto sample = evaluator.sample_sites(
-      args.get_int("sample", 100, 1, INT_MAX), corpus.size());
-  for (const auto mode :
-       {breakage::GuardMode::kStrict, breakage::GuardMode::kEntityGrouping,
-        breakage::GuardMode::kGroupingPlusPolicies}) {
-    const auto summary = evaluator.summarize(sample, mode);
-    std::printf("%-42s major breakage on %.1f%% of %d sites\n",
-                breakage::to_string(mode),
-                100.0 * summary.sites_major / summary.sites, summary.sites);
-  }
-  return 0;
-}
-
 // Validates an exported trace: parses it with report::Json (so any
 // serialization bug that breaks JSON fails here), checks the Chrome
 // trace-event envelope, and verifies every track's events are
@@ -1093,25 +1074,12 @@ int cmd_trace_check(const std::string& path) {
   return 0;
 }
 
-int cmd_perf(const Args& args) {
-  corpus::Corpus corpus(make_corpus(args));
-  const auto comparison = perf::compare_page_load(
-      corpus, corpus.size(), {}, args.get_int("threads", 1, 0, INT_MAX));
-  std::printf("load event: %.0f ms -> %.0f ms (overhead %.0f ms)\n",
-              comparison.normal.load_event.mean_ms,
-              comparison.guarded.load_event.mean_ms,
-              comparison.mean_overhead_ms);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (args.command == "crawl") return cmd_crawl(args);
   if (args.command == "audit") return cmd_audit(args);
-  if (args.command == "breakage") return cmd_breakage(args);
-  if (args.command == "perf") return cmd_perf(args);
   if (args.command == "trace-check") {
     if (argc < 3) {
       std::fprintf(stderr, "usage: cgsim trace-check FILE\n");
@@ -1129,11 +1097,10 @@ int main(int argc, char** argv) {
     return cmd_verify_archive(argv[2]);
   }
   std::fprintf(stderr,
-               "usage: cgsim <crawl|audit|breakage|perf|trace-check|pack|"
-               "query|verify-archive>\n"
+               "usage: cgsim <crawl|audit|trace-check|pack|query|"
+               "verify-archive>\n"
                "             [--sites N] [--threads T] [--guard] "
-               "[--policy none|cookieguard|fpi|chips] [--site I] "
-               "[--sample K]\n"
+               "[--policy none|cookieguard|fpi|chips] [--site I]\n"
                "             [--stream] [--wave W] [--evo-seed S] "
                "[--totals-only] [--base FILE,...]\n"
                "             [--json FILE] [--pairs-csv FILE] "

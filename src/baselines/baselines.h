@@ -7,8 +7,8 @@
 // The other two §2.1 defenses need no extension here. The simulated browser
 // already rejects cross-site Set-Cookie (third-party cookie blocking), and
 // storage partitioning keys on the top-level site, which every main-frame
-// script shares; the `none`/`fpi`/`chips` rows of bench_policy_matrix
-// measure both.
+// script shares; the `none`/`fpi`/`chips` rows of bench_paper's §6
+// bake-off measure both.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "crawler/crawler.h"
 #include "runtime/thread_pool.h"
 
 namespace cg::perf {
@@ -20,57 +19,50 @@ TimingSummary summarize(std::vector<TimeMillis> samples) {
   return out;
 }
 
+void TimingCollector::add(const instrument::VisitLog& log) {
+  dom_content_loaded_.push_back(log.landing_timings.dom_content_loaded);
+  dom_interactive_.push_back(log.landing_timings.dom_interactive);
+  load_event_.push_back(log.landing_timings.load_event);
+}
+
+Metrics TimingCollector::metrics() const {
+  return {summarize(dom_content_loaded_), summarize(dom_interactive_),
+          summarize(load_event_)};
+}
+
+Comparison compare(const Metrics& normal, const Metrics& guarded) {
+  return {normal, guarded,
+          guarded.load_event.mean_ms - normal.load_event.mean_ms};
+}
+
 namespace {
 
-struct Collected {
-  std::vector<TimeMillis> dcl, interactive, load;
-};
-
-/// One fault-free timing crawl under a policy engine, optionally with
-/// per-worker CookieGuard instances (extensions are stateful, so each
-/// crawl thread needs its own; guard behaviour is per-visit deterministic,
-/// so the timings are identical at any thread count).
-Collected run_timing_crawl(const crawler::Crawler& crawl, int site_count,
-                           int threads, policy::PolicyKind policy,
-                           bool with_guard,
-                           const cookieguard::CookieGuardConfig& config) {
-  const int workers =
-      threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
-  Collected collected;
+/// One fault-free timing crawl. A non-null `guard` installs one CookieGuard
+/// built from it per crawl worker (extensions are stateful, so each thread
+/// needs its own; guard behaviour is per-visit deterministic, so the
+/// timings are identical at any thread count).
+Metrics timing_crawl(const crawler::Crawler& crawl, int site_count,
+                     int threads,
+                     const cookieguard::CookieGuardConfig* guard) {
   std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
   crawler::CrawlOptions options;
   options.fault_plan.reset();
   options.threads = threads;
-  options.policy = policy;
-  if (with_guard) {
+  if (guard != nullptr) {
+    const int workers =
+        threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
     for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>(config));
+      guards.push_back(std::make_unique<cookieguard::CookieGuard>(*guard));
     }
     options.extension_factory =
         [&guards](int worker) -> std::vector<browser::Extension*> {
       return {guards[static_cast<size_t>(worker)].get()};
     };
   }
+  TimingCollector timings;
   crawl.crawl(site_count, options,
-              [&](instrument::VisitLog&& log) {
-                collected.dcl.push_back(log.landing_timings.dom_content_loaded);
-                collected.interactive.push_back(
-                    log.landing_timings.dom_interactive);
-                collected.load.push_back(log.landing_timings.load_event);
-              });
-  return collected;
-}
-
-Comparison compare_collected(const Collected& normal,
-                             const Collected& defended) {
-  Comparison out;
-  out.normal = {summarize(normal.dcl), summarize(normal.interactive),
-                summarize(normal.load)};
-  out.guarded = {summarize(defended.dcl), summarize(defended.interactive),
-                 summarize(defended.load)};
-  out.mean_overhead_ms =
-      out.guarded.load_event.mean_ms - out.normal.load_event.mean_ms;
-  return out;
+              [&timings](instrument::VisitLog&& log) { timings.add(log); });
+  return timings.metrics();
 }
 
 }  // namespace
@@ -78,28 +70,9 @@ Comparison compare_collected(const Collected& normal,
 Comparison compare_page_load(const corpus::Corpus& corpus, int site_count,
                              const cookieguard::CookieGuardConfig& config,
                              int threads) {
-  crawler::Crawler crawl(corpus);
-  const Collected normal =
-      run_timing_crawl(crawl, site_count, threads, policy::PolicyKind::kNone,
-                       /*with_guard=*/false, config);
-  const Collected guarded =
-      run_timing_crawl(crawl, site_count, threads, policy::PolicyKind::kNone,
-                       /*with_guard=*/true, config);
-  return compare_collected(normal, guarded);
-}
-
-Comparison compare_page_load_policy(const corpus::Corpus& corpus,
-                                    int site_count,
-                                    policy::PolicyKind policy, int threads) {
-  crawler::Crawler crawl(corpus);
-  const cookieguard::CookieGuardConfig config;
-  const Collected normal =
-      run_timing_crawl(crawl, site_count, threads, policy::PolicyKind::kNone,
-                       /*with_guard=*/false, config);
-  const Collected defended = run_timing_crawl(
-      crawl, site_count, threads, policy,
-      /*with_guard=*/policy == policy::PolicyKind::kCookieGuard, config);
-  return compare_collected(normal, defended);
+  const crawler::Crawler crawl(corpus);
+  return compare(timing_crawl(crawl, site_count, threads, nullptr),
+                 timing_crawl(crawl, site_count, threads, &config));
 }
 
 }  // namespace cg::perf

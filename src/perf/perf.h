@@ -1,24 +1,27 @@
 // Page-load performance comparison (paper §7.3, Table 4).
 //
-// Crawls a slice of the corpus twice — plain browser vs CookieGuard
-// installed — and summarizes the three lifecycle metrics the paper reports
-// (dom_content_loaded, dom_interactive, load_event) as mean and median.
-// The per-call interception cost fed into the simulation is itself measured
-// by the google-benchmark microbenchmarks in bench/bench_table4_perf.cpp.
+// Summarizes the three landing-page lifecycle metrics the paper reports
+// (dom_content_loaded, dom_interactive, load_event) as mean and median, for
+// a plain browser and for one with CookieGuard installed. A TimingCollector
+// sits in a crawl's VisitLog sink, so crawls run for other tables (the
+// Figure 5 pair in bench/bench_paper.cpp) yield Table 4 without crawling
+// again; compare_page_load runs the fault-free pair itself.
 #pragma once
 
 #include <vector>
 
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
+#include "crawler/crawler.h"
 #include "net/clock.h"
-#include "policy/partition_policy.h"
 
 namespace cg::perf {
 
 struct TimingSummary {
   double mean_ms = 0;
   TimeMillis median_ms = 0;
+
+  bool operator==(const TimingSummary&) const = default;
 };
 
 TimingSummary summarize(std::vector<TimeMillis> samples);
@@ -27,6 +30,8 @@ struct Metrics {
   TimingSummary dom_content_loaded;
   TimingSummary dom_interactive;
   TimingSummary load_event;
+
+  bool operator==(const Metrics&) const = default;
 };
 
 struct Comparison {
@@ -34,23 +39,33 @@ struct Comparison {
   Metrics guarded;
   /// Mean added load-event time, the paper's "average overhead" headline.
   double mean_overhead_ms = 0;
+
+  bool operator==(const Comparison&) const = default;
 };
 
-/// Runs the paired crawl over the first `site_count` corpus sites.
-/// `threads` follows CrawlOptions::threads (1 = sequential, 0 = all
+/// Landing-page timings of one crawl, fed one VisitLog at a time from the
+/// crawl's sink. Every visit counts, excluded ones too (Table 4 uses all
+/// visits). Order-independent: the summaries are a mean and a median.
+class TimingCollector {
+ public:
+  void add(const instrument::VisitLog& log);
+  Metrics metrics() const;
+
+ private:
+  std::vector<TimeMillis> dom_content_loaded_;
+  std::vector<TimeMillis> dom_interactive_;
+  std::vector<TimeMillis> load_event_;
+};
+
+/// Pairs a plain crawl's metrics with a defended crawl's.
+Comparison compare(const Metrics& normal, const Metrics& guarded);
+
+/// Runs the fault-free pair — plain browser, then one CookieGuard built
+/// from `config` per crawl worker — over the first `site_count` corpus
+/// sites. `threads` follows CrawlOptions::threads (1 = sequential, 0 = all
 /// hardware threads); results are identical at any thread count.
 Comparison compare_page_load(const corpus::Corpus& corpus, int site_count,
                              const cookieguard::CookieGuardConfig& config,
                              int threads = 1);
-
-/// Table-4 pairing for one bake-off deployment: plain browser (single jar,
-/// no extension) vs the partitioning policy — which for kCookieGuard means
-/// the jar-identical engine plus the CookieGuard extension, and for
-/// FPI/CHIPS the partitioned jar alone. kNone compares the plain browser
-/// against itself (zero overhead by construction; a determinism probe).
-Comparison compare_page_load_policy(const corpus::Corpus& corpus,
-                                    int site_count,
-                                    policy::PolicyKind policy,
-                                    int threads = 1);
 
 }  // namespace cg::perf
