@@ -1,7 +1,8 @@
 #include "store/record_codec.h"
 
+#include <cstdint>
+#include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "crypto/crc32c.h"
@@ -13,25 +14,67 @@ using instrument::VisitLog;
 
 /// Block-local string interner. Table order is first-use order — a pure
 /// function of the record stream, which the determinism guarantee rests on.
+/// Keys are views into the VisitLog being encoded, which outlives the
+/// table. An open-addressing slot vector (linear probing, power-of-two
+/// size, at most half full) maps each distinct string to its index in
+/// strings_; the hash only finds a slot and never reaches the output.
 class StringTable {
  public:
-  std::uint64_t intern(const std::string& s) {
-    const auto [it, inserted] = ids_.emplace(s, strings_.size());
-    if (inserted) strings_.push_back(&it->first);
-    return it->second;
+  StringTable() : slots_(kInitialSlots, kEmpty) {}
+
+  std::uint64_t intern(std::string_view s) {
+    const std::size_t hash = std::hash<std::string_view>{}(s);
+    std::size_t i = hash & (slots_.size() - 1);
+    for (; slots_[i] != kEmpty; i = (i + 1) & (slots_.size() - 1)) {
+      const std::uint32_t id = slots_[i];
+      if (hashes_[id] == hash && strings_[id] == s) return id;
+    }
+    const auto id = static_cast<std::uint32_t>(strings_.size());
+    slots_[i] = id;
+    strings_.push_back(s);
+    hashes_.push_back(hash);
+    encoded_bytes_ += varint_size(s.size()) + s.size();
+    if (2 * strings_.size() > slots_.size()) grow();
+    return id;
+  }
+
+  /// Bytes encode() appends.
+  std::size_t encoded_size() const {
+    return varint_size(strings_.size()) + encoded_bytes_;
   }
 
   void encode(std::string& out) const {
     put_varint(out, strings_.size());
-    for (const std::string* s : strings_) {
-      put_varint(out, s->size());
-      out += *s;
+    for (const std::string_view s : strings_) {
+      put_varint(out, s.size());
+      out += s;
     }
   }
 
  private:
-  std::map<std::string, std::uint64_t> ids_;
-  std::vector<const std::string*> strings_;
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  static constexpr std::size_t kInitialSlots = 512;
+
+  static std::size_t varint_size(std::uint64_t v) {
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
+
+  void grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < strings_.size(); ++id) {
+      std::size_t i = hashes_[id] & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::string_view> strings_;
+  std::vector<std::size_t> hashes_;  // parallel to strings_
+  std::size_t encoded_bytes_ = 0;
 };
 
 /// Packs up to 8 bools into one byte.
@@ -46,27 +89,18 @@ std::uint8_t pack_flags(std::initializer_list<bool> flags) {
 }
 
 // ---- body encoding -------------------------------------------------------
-// Two passes share one routine: pass 1 interns every string (building the
-// table), pass 2 emits the body against the now-frozen table. Running the
-// same code twice guarantees the table order matches the body's references.
+// One pass: the body goes into its own buffer while every string is
+// interned, and the frozen table is then written ahead of it. A string's id
+// is its first use, so the table order matches the body's references.
 
 struct Encoder {
   StringTable& table;
-  std::string* out;  // null during the interning pass
+  std::string& out;
 
-  void str(const std::string& s) {
-    const std::uint64_t id = table.intern(s);
-    if (out != nullptr) put_varint(*out, id);
-  }
-  void u64(std::uint64_t v) {
-    if (out != nullptr) put_varint(*out, v);
-  }
-  void i64(std::int64_t v) {
-    if (out != nullptr) put_zigzag(*out, v);
-  }
-  void byte(std::uint8_t v) {
-    if (out != nullptr) out->push_back(static_cast<char>(v));
-  }
+  void str(std::string_view s) { put_varint(out, table.intern(s)); }
+  void u64(std::uint64_t v) { put_varint(out, v); }
+  void i64(std::int64_t v) { put_zigzag(out, v); }
+  void byte(std::uint8_t v) { out.push_back(static_cast<char>(v)); }
 
   void body(const VisitLog& log) {
     str(log.site_host);
@@ -318,14 +352,14 @@ bool decode_body(Decoder& d, VisitLog& log) {
 
 std::string encode_site_payload(const VisitLog& log) {
   StringTable table;
-  Encoder interner{table, nullptr};
-  interner.body(log);  // pass 1: populate the table
+  std::string body;
+  Encoder{table, body}.body(log);
 
   std::string out;
+  out.reserve(10 + table.encoded_size() + body.size());
   put_varint(out, static_cast<std::uint64_t>(log.rank));
   table.encode(out);
-  Encoder emitter{table, &out};
-  emitter.body(log);  // pass 2: emit against the frozen table
+  out += body;
   return out;
 }
 

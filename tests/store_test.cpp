@@ -2,13 +2,16 @@
 // JSON logs, archive determinism across thread counts, analysis-from-archive
 // equivalence (the parallel archive fold against a sequential reference,
 // corrupt and delta archives included), footer/version rejection, delta
-// archives (codec, wave chains, splice rejection), and checkpoint resume
-// producing a byte-identical archive.
+// archives (codec, wave chains, splice rejection), checkpoint resume
+// producing a byte-identical archive, and the one-pass block encoder
+// against the two-pass one it replaced (plus a checked-in pack CRC).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +20,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "corpus/corpus.h"
+#include "crypto/crc32c.h"
 #include "crawler/crawler.h"
 #include "entities/entity_map.h"
 #include "report/json.h"
@@ -1208,6 +1212,253 @@ TEST(StoreResumeTest, ResumedArchiveIsByteIdenticalToUninterruptedRun) {
 
   std::filesystem::remove(full_path);
   std::filesystem::remove(partial_path);
+}
+
+}  // namespace
+}  // namespace cg::store
+
+// ---- one-pass encoder against the two-pass reference -------------------
+
+namespace cg::store {
+namespace {
+
+// The two-pass std::map encoder this codec replaced, kept verbatim as the
+// reference: the one-pass view-keyed encoder must emit the same bytes.
+namespace reference {
+
+using instrument::VisitLog;
+
+/// Block-local string interner. Table order is first-use order — a pure
+/// function of the record stream, which the determinism guarantee rests on.
+class StringTable {
+ public:
+  std::uint64_t intern(const std::string& s) {
+    const auto [it, inserted] = ids_.emplace(s, strings_.size());
+    if (inserted) strings_.push_back(&it->first);
+    return it->second;
+  }
+
+  void encode(std::string& out) const {
+    put_varint(out, strings_.size());
+    for (const std::string* s : strings_) {
+      put_varint(out, s->size());
+      out += *s;
+    }
+  }
+
+ private:
+  std::map<std::string, std::uint64_t> ids_;
+  std::vector<const std::string*> strings_;
+};
+
+/// Packs up to 8 bools into one byte.
+std::uint8_t pack_flags(std::initializer_list<bool> flags) {
+  std::uint8_t out = 0;
+  int bit = 0;
+  for (const bool flag : flags) {
+    if (flag) out |= static_cast<std::uint8_t>(1u << bit);
+    ++bit;
+  }
+  return out;
+}
+
+// ---- body encoding -------------------------------------------------------
+// Two passes share one routine: pass 1 interns every string (building the
+// table), pass 2 emits the body against the now-frozen table. Running the
+// same code twice guarantees the table order matches the body's references.
+
+struct Encoder {
+  StringTable& table;
+  std::string* out;  // null during the interning pass
+
+  void str(const std::string& s) {
+    const std::uint64_t id = table.intern(s);
+    if (out != nullptr) put_varint(*out, id);
+  }
+  void u64(std::uint64_t v) {
+    if (out != nullptr) put_varint(*out, v);
+  }
+  void i64(std::int64_t v) {
+    if (out != nullptr) put_zigzag(*out, v);
+  }
+  void byte(std::uint8_t v) {
+    if (out != nullptr) out->push_back(static_cast<char>(v));
+  }
+
+  void body(const VisitLog& log) {
+    str(log.site_host);
+    str(log.site);
+    byte(pack_flags({log.has_cookie_logs, log.has_request_logs}));
+    u64(static_cast<std::uint64_t>(log.failure));
+    u64(static_cast<std::uint64_t>(log.attempts));
+    u64(static_cast<std::uint64_t>(log.pages_visited));
+    i64(log.landing_timings.dom_interactive);
+    i64(log.landing_timings.dom_content_loaded);
+    i64(log.landing_timings.load_event);
+
+    u64(log.script_sets.size());
+    for (const auto& r : log.script_sets) {
+      str(r.cookie_name);
+      str(r.value);
+      str(r.setter_url);
+      str(r.setter_domain);
+      str(r.true_domain);
+      byte(static_cast<std::uint8_t>(r.api));
+      byte(static_cast<std::uint8_t>(r.change_type));
+      byte(static_cast<std::uint8_t>(r.category));
+      byte(static_cast<std::uint8_t>(r.inclusion));
+      byte(pack_flags({r.value_changed, r.expires_changed, r.domain_changed,
+                       r.path_changed}));
+      i64(r.prev_expires);
+      i64(r.new_expires);
+      i64(r.time);
+    }
+
+    u64(log.http_sets.size());
+    for (const auto& r : log.http_sets) {
+      str(r.cookie_name);
+      str(r.value);
+      str(r.response_host);
+      str(r.setter_domain);
+      byte(pack_flags({r.http_only, r.first_party}));
+      byte(static_cast<std::uint8_t>(r.change_type));
+      i64(r.time);
+    }
+
+    u64(log.reads.size());
+    for (const auto& r : log.reads) {
+      str(r.reader_url);
+      str(r.reader_domain);
+      byte(static_cast<std::uint8_t>(r.api));
+      u64(static_cast<std::uint64_t>(r.cookies_returned));
+      i64(r.time);
+    }
+
+    u64(log.requests.size());
+    for (const auto& r : log.requests) {
+      str(r.url);
+      str(r.host);
+      str(r.dest_domain);
+      str(r.initiator_url);
+      str(r.initiator_domain);
+      byte(static_cast<std::uint8_t>(r.destination));
+      i64(r.time);
+    }
+
+    u64(log.dom_mods.size());
+    for (const auto& r : log.dom_mods) {
+      str(r.modifier_domain);
+      str(r.target_domain);
+    }
+
+    u64(log.includes.size());
+    for (const auto& r : log.includes) {
+      str(r.script_id);
+      str(r.url);
+      str(r.domain);
+      byte(static_cast<std::uint8_t>(r.category));
+      byte(static_cast<std::uint8_t>(r.inclusion));
+      byte(pack_flags({r.is_inline}));
+    }
+  }
+};
+
+std::string encode_site_payload(const VisitLog& log) {
+  StringTable table;
+  Encoder interner{table, nullptr};
+  interner.body(log);  // pass 1: populate the table
+
+  std::string out;
+  put_varint(out, static_cast<std::uint64_t>(log.rank));
+  table.encode(out);
+  Encoder emitter{table, &out};
+  emitter.body(log);  // pass 2: emit against the frozen table
+  return out;
+}
+
+}  // namespace reference
+
+/// A log whose strings stress the interner: the empty string in every
+/// string field, strings that are prefixes of one another, and more than
+/// 128 distinct strings, so ids past 127 take two varint bytes.
+instrument::VisitLog interner_stress_log() {
+  instrument::VisitLog log;
+  log.rank = 300;
+  log.site_host = "";
+  log.site = "a";
+  const std::vector<std::string> prefixes = {"", "a", "ab", "abc", "ab", ""};
+  for (const std::string& s : prefixes) {
+    instrument::HttpCookieSetRecord http;
+    http.cookie_name = s;
+    http.value = s + s;
+    http.response_host = "abc" + s;
+    log.http_sets.push_back(http);
+  }
+  for (int i = 0; i < 300; ++i) {
+    instrument::CookieReadRecord read;
+    read.reader_url = "https://cdn.example/" + std::to_string(i % 150);
+    read.reader_domain = i % 3 == 0 ? "" : "example";
+    read.cookies_returned = i;
+    read.time = i;
+    log.reads.push_back(read);
+  }
+  instrument::ScriptIncludeRecord inc;  // every string field empty
+  log.includes.push_back(inc);
+  return log;
+}
+
+TEST(StoreEncodeDifferentialTest, SeededCorporaMatchTheTwoPassEncoder) {
+  for (const std::uint64_t seed : {0xC00C1EULL, 7ULL, 20250417ULL}) {
+    corpus::CorpusParams params = small_params(300);
+    params.seed = seed;
+    corpus::Corpus corpus(params);
+    crawler::Crawler crawler(corpus);
+    int sites = 0;
+    crawler.crawl(corpus.size(), crawler::CrawlOptions{},
+                  [&](instrument::VisitLog&& log) {
+                    ASSERT_EQ(encode_site_payload(log),
+                              reference::encode_site_payload(log))
+                        << "seed " << seed << " rank " << log.rank;
+                    ++sites;
+                  });
+    EXPECT_EQ(sites, 300) << "seed " << seed;
+  }
+}
+
+TEST(StoreEncodeDifferentialTest, HandBuiltLogsMatchTheTwoPassEncoder) {
+  instrument::VisitLog empty;
+  for (const instrument::VisitLog& log :
+       {empty, dense_log(), interner_stress_log()}) {
+    const std::string payload = encode_site_payload(log);
+    EXPECT_EQ(payload, reference::encode_site_payload(log))
+        << "rank " << log.rank;
+    Error error;
+    const auto decoded = decode_site_payload(payload, &error);
+    ASSERT_TRUE(decoded.has_value()) << error.to_string();
+    EXPECT_EQ(encode_site_payload(*decoded), payload);
+  }
+  // The stress log's table really does need two-byte ids.
+  const auto decoded =
+      decode_site_payload(encode_site_payload(interner_stress_log()), nullptr);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->reads.back().reader_url, "https://cdn.example/149");
+  EXPECT_EQ(decoded->http_sets[3].value, "abcabc");
+}
+
+TEST(StoreEncodeDifferentialTest, DefaultSeedPackMatchesItsCheckedInCrc) {
+  // tests/golden/pack120_crc.txt pins the CRC32C and length of the
+  // default-seed 120-site archive as the two-pass encoder wrote it.
+  corpus::Corpus corpus(small_params(120));
+  const std::string archive = pack_to_string(corpus, 1);
+  char line[64];
+  std::snprintf(line, sizeof line, "crc32c %08x\nbytes %zu\n",
+                crypto::crc32c(archive), archive.size());
+  std::ifstream in(std::string(CG_SOURCE_ROOT "/tests/golden/") +
+                   "pack120_crc.txt");
+  ASSERT_TRUE(in.good());
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(line, golden);
 }
 
 }  // namespace
