@@ -5,7 +5,6 @@
 
 #include "browser/page.h"
 #include "corpus/ecosystem.h"
-#include "script/interpreter.h"
 #include "script/rng.h"
 
 namespace cg::breakage {
@@ -34,8 +33,7 @@ bool can_see_cookie(browser::Page& page, const ExecContext& ctx,
                     const std::string& cookie_name) {
   bool visible = false;
   page.run_as(ctx, [&](script::PageServices& services) {
-    const std::string jar = services.document_cookie_read(ctx);
-    for (const auto& cookie : script::parse_cookie_string(jar)) {
+    for (const auto& cookie : services.document_cookie_pairs(ctx)) {
       if (cookie.name == cookie_name) {
         visible = true;
         return;

@@ -12,6 +12,7 @@
 // for evaluating attribution accuracy.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,15 +44,19 @@ class Extension {
 
   // ---- cookie API interception (content-script layer) -----------------
 
-  /// Filter the string document.cookie returns. Called in registration
-  /// order; each extension receives the previous one's output.
-  virtual std::string filter_document_cookie_read(
-      Page& page, const script::ExecContext& ctx,
-      const webplat::StackTrace& stack, std::string value) {
+  /// Filter the cookies a script read returns: document.cookie or a
+  /// cookieStore get/getAll, as `api` says. Called in registration order;
+  /// each extension receives the previous one's output and may only drop
+  /// pairs. The views are valid for the duration of the call.
+  virtual void filter_cookie_read(Page& page, const script::ExecContext& ctx,
+                                  const webplat::StackTrace& stack,
+                                  cookies::CookieSource api,
+                                  std::vector<script::CookiePair>& cookies) {
     (void)page;
     (void)ctx;
     (void)stack;
-    return value;
+    (void)api;
+    (void)cookies;
   }
 
   /// Veto a document.cookie write. Returning false blocks the jar update.
@@ -64,16 +69,6 @@ class Extension {
     (void)stack;
     (void)cookie_line;
     return true;
-  }
-
-  /// Filter the structured list cookieStore.getAll() resolves with.
-  virtual void filter_store_read(Page& page, const script::ExecContext& ctx,
-                                 const webplat::StackTrace& stack,
-                                 std::vector<script::StoreCookie>& cookies) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
-    (void)cookies;
   }
 
   /// Veto cookieStore.set / cookieStore.delete.
@@ -92,23 +87,17 @@ class Extension {
 
   // ---- observations ----------------------------------------------------
 
-  virtual void on_document_cookie_read(Page& page,
-                                       const script::ExecContext& ctx,
-                                       const webplat::StackTrace& stack,
-                                       const std::string& returned_value) {
+  /// A script read returned `returned` cookies through `api`, after every
+  /// filter_cookie_read.
+  virtual void on_cookie_read(Page& page, const script::ExecContext& ctx,
+                              const webplat::StackTrace& stack,
+                              cookies::CookieSource api,
+                              std::size_t returned) {
     (void)page;
     (void)ctx;
     (void)stack;
-    (void)returned_value;
-  }
-
-  virtual void on_store_read(Page& page, const script::ExecContext& ctx,
-                             const webplat::StackTrace& stack,
-                             const std::vector<script::StoreCookie>& cookies) {
-    (void)page;
-    (void)ctx;
-    (void)stack;
-    (void)cookies;
+    (void)api;
+    (void)returned;
   }
 
   /// A script-initiated jar change completed (document.cookie or

@@ -234,11 +234,14 @@ class Page::FrameServices final : public script::PageServices {
                 cookies::CookieJar* legacy_jar)
       : page_(page), frame_(frame), legacy_jar_(legacy_jar) {}
 
-  std::string document_cookie_read(const script::ExecContext&) override {
+  const std::vector<script::CookiePair>& document_cookie_pairs(
+      const script::ExecContext&) override {
     page_.charge_api_call();
-    std::string out;
-    cookies::append_cookie_pairs(read_cookies(), out);
-    return out;
+    pairs_.clear();
+    for (const cookies::Cookie* c : read_cookies()) {
+      pairs_.push_back({c->name, c->value});
+    }
+    return pairs_;
   }
   void document_cookie_write(const script::ExecContext&,
                              std::string_view cookie_line) override {
@@ -348,6 +351,7 @@ class Page::FrameServices final : public script::PageServices {
   /// the browser-level policy partitions (FrameJarScope::kBrowser).
   cookies::CookieJar* legacy_jar_;
   std::vector<const cookies::Cookie*> matched_;
+  std::vector<script::CookiePair> pairs_;
 };
 
 webplat::Frame& Page::create_subframe(const net::Url& url) {
@@ -434,20 +438,28 @@ std::optional<cookies::CookieChange> Page::policy_store(
                                                     ctx.api, source);
 }
 
-std::string Page::document_cookie_read(const script::ExecContext& ctx) {
-  charge_api_call();
+void Page::script_read(const script::ExecContext& ctx,
+                       cookies::CookieSource api,
+                       std::optional<std::string_view> only) {
   policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
               browser_.clock().now(), matched_);
-  std::string value;
-  cookies::append_cookie_pairs(matched_, value);
-  for (auto* extension : browser_.extensions()) {
-    value = extension->filter_document_cookie_read(*this, ctx, stack_,
-                                                   std::move(value));
+  pairs_.clear();
+  for (const cookies::Cookie* c : matched_) {
+    if (!only || c->name == *only) pairs_.push_back({c->name, c->value});
   }
   for (auto* extension : browser_.extensions()) {
-    extension->on_document_cookie_read(*this, ctx, stack_, value);
+    extension->filter_cookie_read(*this, ctx, stack_, api, pairs_);
   }
-  return value;
+  for (auto* extension : browser_.extensions()) {
+    extension->on_cookie_read(*this, ctx, stack_, api, pairs_.size());
+  }
+}
+
+const std::vector<script::CookiePair>& Page::document_cookie_pairs(
+    const script::ExecContext& ctx) {
+  charge_api_call();
+  script_read(ctx, cookies::CookieSource::kDocumentCookie);
+  return pairs_;
 }
 
 void Page::document_cookie_write(const script::ExecContext& ctx,
@@ -498,17 +510,11 @@ void Page::cookie_store_get_all(
   loop_.post_microtask(
       [this, ctx, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
-        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                    browser_.clock().now(), matched_);
+        script_read(ctx, cookies::CookieSource::kCookieStore);
         std::vector<script::StoreCookie> cookies;
-        for (const cookies::Cookie* c : matched_) {
-          cookies.push_back({c->name, c->value});
-        }
-        for (auto* extension : browser_.extensions()) {
-          extension->filter_store_read(*this, ctx, stack_, cookies);
-        }
-        for (auto* extension : browser_.extensions()) {
-          extension->on_store_read(*this, ctx, stack_, cookies);
+        cookies.reserve(pairs_.size());
+        for (const script::CookiePair& pair : pairs_) {
+          cookies.push_back({std::string(pair.name), std::string(pair.value)});
         }
         callback(std::move(cookies));
         stack_ = saved;
@@ -525,22 +531,14 @@ void Page::cookie_store_get(
   loop_.post_microtask(
       [this, ctx, wanted, callback = std::move(callback), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
-        policy_read(cookie_ctx(url_, cookies::JarApi::kScript),
-                    browser_.clock().now(), matched_);
-        std::vector<script::StoreCookie> cookies;
-        for (const cookies::Cookie* c : matched_) {
-          if (c->name == wanted) cookies.push_back({c->name, c->value});
-        }
         // The same per-origin filter applies to single-cookie lookups.
-        for (auto* extension : browser_.extensions()) {
-          extension->filter_store_read(*this, ctx, stack_, cookies);
+        script_read(ctx, cookies::CookieSource::kCookieStore, wanted);
+        std::optional<script::StoreCookie> cookie;
+        if (!pairs_.empty()) {
+          cookie = script::StoreCookie{std::string(pairs_.front().name),
+                                       std::string(pairs_.front().value)};
         }
-        for (auto* extension : browser_.extensions()) {
-          extension->on_store_read(*this, ctx, stack_, cookies);
-        }
-        callback(cookies.empty()
-                     ? std::nullopt
-                     : std::optional<script::StoreCookie>(cookies.front()));
+        callback(std::move(cookie));
         stack_ = saved;
       },
       captured);

@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,7 +75,8 @@ class Page final : public script::PageServices {
                     const std::function<void(script::PageServices&)>& body);
 
   // ---- script::PageServices ------------------------------------------
-  std::string document_cookie_read(const script::ExecContext& ctx) override;
+  const std::vector<script::CookiePair>& document_cookie_pairs(
+      const script::ExecContext& ctx) override;
   void document_cookie_write(const script::ExecContext& ctx,
                              std::string_view cookie_line) override;
   void cookie_store_get_all(
@@ -144,6 +146,13 @@ class Page final : public script::PageServices {
       policy::CookieAccessContext ctx, TimeMillis now,
       std::optional<cookies::CookieSource> source = std::nullopt);
 
+  /// A main-frame script read through the policy and every extension:
+  /// fills pairs_ with the matched cookies (only those named `only` when it
+  /// is set) that every filter_cookie_read keeps, then tells the
+  /// on_cookie_read observers how many that is.
+  void script_read(const script::ExecContext& ctx, cookies::CookieSource api,
+                   std::optional<std::string_view> only = std::nullopt);
+
   class FrameServices;
 
   Browser& browser_;
@@ -165,6 +174,9 @@ class Page final : public script::PageServices {
   /// policy_read's output buffer, reused by every main-frame read. Each
   /// reader consumes it before anything else can touch a jar.
   std::vector<const cookies::Cookie*> matched_;
+  /// script_read's output: name/value views of matched_'s cookies, reused
+  /// by every main-frame script read and valid until the next jar write.
+  std::vector<script::CookiePair> pairs_;
 };
 
 }  // namespace cg::browser

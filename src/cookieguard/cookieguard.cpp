@@ -3,7 +3,6 @@
 #include "browser/page.h"
 #include "net/psl.h"
 #include "obs/trace.h"
-#include "script/interpreter.h"
 
 namespace cg::cookieguard {
 namespace {
@@ -116,70 +115,33 @@ bool CookieGuard::may_access(const std::string& actor_domain,
   return false;
 }
 
-std::string CookieGuard::filter_document_cookie_read(
-    browser::Page& page, const script::ExecContext& ctx,
-    const webplat::StackTrace& stack, std::string value) {
+void CookieGuard::filter_cookie_read(browser::Page& page,
+                                     const script::ExecContext& ctx,
+                                     const webplat::StackTrace& stack,
+                                     cookies::CookieSource api,
+                                     std::vector<script::CookiePair>& cookies) {
   (void)ctx;
   const std::string actor = resolve_actor(stack, page);
-  if (actor.empty()) {
-    if (!config_.deny_inline_scripts) return value;
-    ++stats_.inline_denied;
-    note_decision(page, "cookieguard.inline_denied");
-    return std::string{};
-  }
-  const std::string& site = page.site();
-  if (config_.site_owner_full_access && actor == site) return value;
-
-  const auto dataset = store_.snapshot();  // background round trip
-  std::string filtered;
-  std::int64_t hidden = 0;
-  for (const auto& cookie : script::parse_cookie_string(value)) {
-    const auto creator_it = dataset.find(cookie.name);
-    // Untracked cookies default to first-party ownership.
-    const std::string creator =
-        creator_it == dataset.end() ? site : creator_it->second;
-    if (may_access(actor, creator, site)) {
-      if (!filtered.empty()) filtered += "; ";
-      filtered += cookie.name + "=" + cookie.value;
-    } else {
-      ++hidden;
-      ++stats_.cookies_hidden;
-    }
-  }
-  if (hidden > 0) {
-    ++stats_.reads_filtered;
-    note_decision(page, "cookieguard.reads_filtered");
-    obs::metric_add("cookieguard.cookies_hidden", hidden);
-  }
-  return filtered;
-}
-
-void CookieGuard::filter_store_read(browser::Page& page,
-                                    const script::ExecContext& ctx,
-                                    const webplat::StackTrace& stack,
-                                    std::vector<script::StoreCookie>& cookies) {
-  (void)ctx;
-  const std::string actor = resolve_actor(stack, page);
-  const std::string& site = page.site();
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return;
     ++stats_.inline_denied;
-    stats_.cookies_hidden += cookies.size();
     note_decision(page, "cookieguard.inline_denied");
-    obs::metric_add("cookieguard.cookies_hidden",
-                    static_cast<std::int64_t>(cookies.size()));
+    if (api == cookies::CookieSource::kCookieStore) {
+      stats_.cookies_hidden += cookies.size();
+      obs::metric_add("cookieguard.cookies_hidden",
+                      static_cast<std::int64_t>(cookies.size()));
+    }
     cookies.clear();
     return;
   }
+  const std::string& site = page.site();
   if (config_.site_owner_full_access && actor == site) return;
 
-  const auto dataset = store_.snapshot();
   const std::size_t before = cookies.size();
-  std::erase_if(cookies, [&](const script::StoreCookie& cookie) {
-    const auto creator_it = dataset.find(cookie.name);
-    const std::string creator =
-        creator_it == dataset.end() ? site : creator_it->second;
-    return !may_access(actor, creator, site);
+  std::erase_if(cookies, [&](const script::CookiePair& cookie) {
+    // Untracked cookies default to first-party ownership.
+    const std::string* creator = store_.find_creator(cookie.name);
+    return !may_access(actor, creator == nullptr ? site : *creator, site);
   });
   if (cookies.size() != before) {
     ++stats_.reads_filtered;

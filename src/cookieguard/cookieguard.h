@@ -84,17 +84,14 @@ class CookieGuard final : public browser::Extension {
 
   // ---- browser::Extension -----------------------------------------------
   void on_visit_start(browser::Browser& browser) override;
-  std::string filter_document_cookie_read(browser::Page& page,
-                                          const script::ExecContext& ctx,
-                                          const webplat::StackTrace& stack,
-                                          std::string value) override;
+  void filter_cookie_read(browser::Page& page, const script::ExecContext& ctx,
+                          const webplat::StackTrace& stack,
+                          cookies::CookieSource api,
+                          std::vector<script::CookiePair>& cookies) override;
   bool allow_document_cookie_write(browser::Page& page,
                                    const script::ExecContext& ctx,
                                    const webplat::StackTrace& stack,
                                    std::string_view cookie_line) override;
-  void filter_store_read(browser::Page& page, const script::ExecContext& ctx,
-                         const webplat::StackTrace& stack,
-                         std::vector<script::StoreCookie>& cookies) override;
   bool allow_store_write(browser::Page& page, const script::ExecContext& ctx,
                          const webplat::StackTrace& stack,
                          std::string_view cookie_name, std::string_view value,

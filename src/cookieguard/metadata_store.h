@@ -2,8 +2,8 @@
 //
 // Mirrors background.js in the paper's Figure 4: it records the creator of
 // every first-party cookie (from script writes relayed by the content
-// script, and from HTTP Set-Cookie headers seen via webRequest), and serves
-// snapshot copies for read-time filtering.
+// script, and from HTTP Set-Cookie headers seen via webRequest), and
+// answers the read-time filter's lookups in place.
 #pragma once
 
 #include <map>
@@ -31,18 +31,19 @@ class MetadataStore {
     return it->second;
   }
 
+  /// creator() without the copy: null if untracked, else valid until the
+  /// next record/erase/clear.
+  const std::string* find_creator(std::string_view cookie_name) const {
+    const auto it = store_.find(cookie_name);
+    return it == store_.end() ? nullptr : &it->second;
+  }
+
   void erase(std::string_view cookie_name) {
     store_.erase(std::string(cookie_name));
   }
 
   void clear() { store_.clear(); }
   std::size_t size() const { return store_.size(); }
-
-  /// Snapshot copy, as background.js hands the content script "a current
-  /// copy of the dataset for accurate cookie filtering".
-  std::map<std::string, std::string, std::less<>> snapshot() const {
-    return store_;
-  }
 
  private:
   std::map<std::string, std::string, std::less<>> store_;

@@ -4,19 +4,6 @@
 #include "obs/trace.h"
 
 namespace cg::instrument {
-namespace {
-
-// Counts "a=1; b=2" pairs without allocating.
-int count_pairs(const std::string& cookie_string) {
-  if (cookie_string.empty()) return 0;
-  int n = 1;
-  for (const char c : cookie_string) {
-    if (c == ';') ++n;
-  }
-  return n;
-}
-
-}  // namespace
 
 void Recorder::on_page_start(browser::Page& page) {
   if (log_ == nullptr) return;
@@ -59,30 +46,16 @@ void Recorder::on_page_finished(browser::Page& page) {
   log_->has_request_logs = true;
 }
 
-void Recorder::on_document_cookie_read(browser::Page& page,
-                                       const script::ExecContext& ctx,
-                                       const webplat::StackTrace& stack,
-                                       const std::string& returned_value) {
-  (void)page;
+void Recorder::on_cookie_read(browser::Page& page,
+                              const script::ExecContext& ctx,
+                              const webplat::StackTrace& stack,
+                              cookies::CookieSource api,
+                              std::size_t returned) {
   (void)ctx;
   if (log_ == nullptr) return;
   const auto who = ext::attribute_stack(stack, mode_);
-  log_->reads.push_back({who.script_url, who.domain,
-                         cookies::CookieSource::kDocumentCookie,
-                         count_pairs(returned_value), page.now()});
-  log_->has_cookie_logs = true;
-}
-
-void Recorder::on_store_read(browser::Page& page,
-                             const script::ExecContext& ctx,
-                             const webplat::StackTrace& stack,
-                             const std::vector<script::StoreCookie>& cookies) {
-  (void)ctx;
-  if (log_ == nullptr) return;
-  const auto who = ext::attribute_stack(stack, mode_);
-  log_->reads.push_back({who.script_url, who.domain,
-                         cookies::CookieSource::kCookieStore,
-                         static_cast<int>(cookies.size()), page.now()});
+  log_->reads.push_back({who.script_url, who.domain, api,
+                         static_cast<int>(returned), page.now()});
   log_->has_cookie_logs = true;
 }
 

@@ -27,13 +27,10 @@ class Recorder final : public browser::Extension {
   std::string name() const override { return "cookie-measurement"; }
 
   void on_page_finished(browser::Page& page) override;
-  void on_document_cookie_read(browser::Page& page,
-                               const script::ExecContext& ctx,
-                               const webplat::StackTrace& stack,
-                               const std::string& returned_value) override;
-  void on_store_read(browser::Page& page, const script::ExecContext& ctx,
-                     const webplat::StackTrace& stack,
-                     const std::vector<script::StoreCookie>& cookies) override;
+  void on_cookie_read(browser::Page& page, const script::ExecContext& ctx,
+                      const webplat::StackTrace& stack,
+                      cookies::CookieSource api,
+                      std::size_t returned) override;
   void on_script_cookie_change(browser::Page& page,
                                const script::ExecContext& ctx,
                                const webplat::StackTrace& stack,

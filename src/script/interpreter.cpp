@@ -12,21 +12,25 @@ namespace {
 
 constexpr std::string_view kPastDate = "Thu, 01 Jan 1970 00:00:00 GMT";
 
-// Returns the name of each cookie visible in `jar_string`.
-bool jar_has_cookie(const std::vector<StoreCookie>& jar,
-                    std::string_view name) {
-  for (const auto& c : jar) {
-    if (c.name == name) return true;
-  }
-  return false;
-}
-
-const StoreCookie* jar_find(const std::vector<StoreCookie>& jar,
-                            std::string_view name) {
+const CookiePair* find_cookie(const std::vector<CookiePair>& jar,
+                              std::string_view name) {
   for (const auto& c : jar) {
     if (c.name == name) return &c;
   }
   return nullptr;
+}
+
+// The targets visible in `jar`, in target order. Overwrite and delete ops
+// decide every target through this before their first write, which can
+// move the cookies the pairs view.
+std::vector<const std::string*> visible_targets(
+    const std::vector<CookiePair>& jar,
+    const std::vector<std::string>& targets) {
+  std::vector<const std::string*> out;
+  for (const auto& target : targets) {
+    if (find_cookie(jar, target) != nullptr) out.push_back(&target);
+  }
+  return out;
 }
 
 // Destination hosts may use "{site}" for the visited page's host
@@ -42,13 +46,13 @@ std::string resolve_host(const std::string& host_template,
 
 void exfiltrate_cookies(const ScriptOp& op, const ExecContext& ctx,
                         PageServices& services,
-                        const std::vector<StoreCookie>& cookies) {
+                        const std::vector<CookiePair>& cookies) {
   std::vector<net::QueryParam> params;
   for (const auto& cookie : cookies) {
     const auto segments = extract_identifier_segments(cookie.value);
     std::size_t index = 0;
     for (const auto& segment : segments) {
-      std::string key = cookie.name;
+      std::string key(cookie.name);
       if (index > 0) {
         // Append piecewise: `+= "_" + to_string(...)` trips the GCC 12
         // -Wrestrict false positive (PR 105329) under warnings-as-errors.
@@ -76,10 +80,10 @@ void run_op(const ScriptOp& op, const ExecContext& ctx,
             PageServices& services) {
   switch (op.kind) {
     case OpKind::kSetCookie: {
-      if (op.only_if_missing) {
-        const auto jar =
-            parse_cookie_string(services.document_cookie_read(ctx));
-        if (jar_has_cookie(jar, op.cookie_name)) break;
+      if (op.only_if_missing &&
+          find_cookie(services.document_cookie_pairs(ctx), op.cookie_name) !=
+              nullptr) {
+        break;
       }
       const std::string value =
           expand_template(op.value_template, services.rng(), services.now());
@@ -96,7 +100,7 @@ void run_op(const ScriptOp& op, const ExecContext& ctx,
     }
 
     case OpKind::kReadCookies:
-      services.document_cookie_read(ctx);
+      services.document_cookie_pairs(ctx);
       break;
 
     case OpKind::kStoreGetAll:
@@ -109,23 +113,21 @@ void run_op(const ScriptOp& op, const ExecContext& ctx,
       break;
 
     case OpKind::kOverwriteCookie: {
-      const auto jar = parse_cookie_string(services.document_cookie_read(ctx));
-      for (const auto& target : op.target_cookie_names) {
-        if (!jar_has_cookie(jar, target)) continue;
+      for (const std::string* target : visible_targets(
+               services.document_cookie_pairs(ctx), op.target_cookie_names)) {
         const std::string value =
             expand_template(op.value_template, services.rng(), services.now());
         services.document_cookie_write(ctx,
-                                       target + "=" + value + op.attributes);
+                                       *target + "=" + value + op.attributes);
       }
       break;
     }
 
     case OpKind::kDeleteCookie: {
-      const auto jar = parse_cookie_string(services.document_cookie_read(ctx));
-      for (const auto& target : op.target_cookie_names) {
-        if (!jar_has_cookie(jar, target)) continue;
+      for (const std::string* target : visible_targets(
+               services.document_cookie_pairs(ctx), op.target_cookie_names)) {
         services.document_cookie_write(
-            ctx, target + "=; Path=/; Expires=" + std::string(kPastDate));
+            ctx, *target + "=; Path=/; Expires=" + std::string(kPastDate));
       }
       break;
     }
@@ -135,14 +137,14 @@ void run_op(const ScriptOp& op, const ExecContext& ctx,
       break;
 
     case OpKind::kExfiltrate: {
-      const auto jar = parse_cookie_string(services.document_cookie_read(ctx));
-      std::vector<StoreCookie> selected;
+      const auto& jar = services.document_cookie_pairs(ctx);
       if (op.exfiltrate_whole_jar) {
-        selected = jar;
-      } else {
-        for (const auto& target : op.target_cookie_names) {
-          if (const auto* c = jar_find(jar, target)) selected.push_back(*c);
-        }
+        exfiltrate_cookies(op, ctx, services, jar);
+        break;
+      }
+      std::vector<CookiePair> selected;
+      for (const auto& target : op.target_cookie_names) {
+        if (const auto* c = find_cookie(jar, target)) selected.push_back(*c);
       }
       exfiltrate_cookies(op, ctx, services, selected);
       break;
@@ -233,8 +235,8 @@ std::string expand_template(std::string_view tpl, Rng& rng, TimeMillis now) {
   return out;
 }
 
-std::vector<StoreCookie> parse_cookie_string(std::string_view cookie_string) {
-  std::vector<StoreCookie> out;
+std::vector<CookiePair> parse_cookie_string(std::string_view cookie_string) {
+  std::vector<CookiePair> out;
   std::size_t pos = 0;
   while (pos < cookie_string.size()) {
     auto semi = cookie_string.find(';', pos);
@@ -244,10 +246,9 @@ std::vector<StoreCookie> parse_cookie_string(std::string_view cookie_string) {
     if (!pair.empty()) {
       const auto eq = pair.find('=');
       if (eq == std::string_view::npos) {
-        out.push_back({std::string(pair), ""});
+        out.push_back({pair, {}});
       } else {
-        out.push_back({std::string(pair.substr(0, eq)),
-                       std::string(pair.substr(eq + 1))});
+        out.push_back({pair.substr(0, eq), pair.substr(eq + 1)});
       }
     }
     pos = semi + 1;

@@ -15,8 +15,9 @@ namespace cg::script {
 /// {rand:N} N decimal digits, {hex:N} N hex chars.
 std::string expand_template(std::string_view tpl, Rng& rng, TimeMillis now);
 
-/// Splits a document.cookie string ("a=1; b=2") into pairs.
-std::vector<StoreCookie> parse_cookie_string(std::string_view cookie_string);
+/// Splits a document.cookie string ("a=1; b=2") into pairs viewing
+/// `cookie_string`.
+std::vector<CookiePair> parse_cookie_string(std::string_view cookie_string);
 
 /// Calls `fn(segment)` for each candidate identifier segment of a cookie
 /// value, in order: split on non-alphanumeric delimiters, keep segments of

@@ -21,6 +21,27 @@
 
 namespace cg::script {
 
+/// One cookie as a script read returns it: a name and a value viewing the
+/// cookie jar (or a test's own string). The views die at the next jar
+/// write, from any API: a caller that writes takes every decision that
+/// reads them before its first write.
+struct CookiePair {
+  std::string_view name;
+  std::string_view value;
+};
+
+/// The document.cookie serialisation of `pairs`: "a=1; b=2".
+inline std::string join_cookie_pairs(const std::vector<CookiePair>& pairs) {
+  std::string out;
+  for (const CookiePair& pair : pairs) {
+    if (!out.empty()) out += "; ";
+    out += pair.name;
+    out += '=';
+    out += pair.value;
+  }
+  return out;
+}
+
 /// Structured cookie object as returned by cookieStore.getAll().
 struct StoreCookie {
   std::string name;
@@ -32,7 +53,15 @@ class PageServices {
   virtual ~PageServices() = default;
 
   // --- document.cookie -----------------------------------------------
-  virtual std::string document_cookie_read(const ExecContext& ctx) = 0;
+  /// The cookies a document.cookie read returns, in order, as views (see
+  /// CookiePair). The vector belongs to the services and is refilled by
+  /// their next read.
+  virtual const std::vector<CookiePair>& document_cookie_pairs(
+      const ExecContext& ctx) = 0;
+  /// The string document.cookie returns: the join of the pairs.
+  std::string document_cookie_read(const ExecContext& ctx) {
+    return join_cookie_pairs(document_cookie_pairs(ctx));
+  }
   virtual void document_cookie_write(const ExecContext& ctx,
                                      std::string_view cookie_line) = 0;
 

@@ -1,9 +1,16 @@
 // Tests for the browser core: page loading, cookie APIs through the page,
-// script inclusion chains, stack attribution, network behaviour, timings.
+// script inclusion chains, stack attribution, network behaviour, timings,
+// and document.cookie reads as name/value views of the jar.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "browser/page.h"
+#include "cookies/cookie_jar.h"
+#include "net/set_cookie.h"
 #include "script/interpreter.h"
+#include "script/rng.h"
 #include "test_support.h"
 
 namespace cg::browser {
@@ -575,6 +582,86 @@ TEST(NavigationTest, ResponseHookMutatesHeadersInFlight) {
   const auto response = browser.network().dispatch(probe);
   ASSERT_EQ(response.set_cookie_headers().size(), 1u);
   EXPECT_EQ(response.set_cookie_headers()[0], "sid=123456");
+}
+
+}  // namespace
+}  // namespace cg::browser
+
+// Appended: document.cookie reads as name/value views of the jar.
+namespace cg::browser {
+namespace {
+
+TEST(CookiePairTest, DocumentCookieReadEqualsTheJarSerialisationOnRandomJars) {
+  // The joined pairs must be exactly the string the jar serialises for the
+  // same RFC 6265 match (cookies::append_cookie_pairs), which is what
+  // document.cookie returned before reads became views.
+  const std::vector<std::string> names = {"_ga", "_fbp", "sess", "a",
+                                          "ab",  "",     "x_1"};
+  const std::vector<std::string> paths = {"/", "/", "/a"};
+  const auto url = net::Url::must_parse(TestSite::kSiteUrl);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    script::Rng rng(seed);
+    TestSite site;
+    auto page = site.open();
+    auto& jar = site.browser().jar();
+    const auto writes = 1 + rng.below(40);
+    for (std::uint64_t i = 0; i < writes; ++i) {
+      std::string line = names[rng.below(names.size())] + "=" +
+                         rng.hex(rng.below(12)) + "; Path=" +
+                         paths[rng.below(paths.size())];
+      if (rng.below(2) == 0) line += "; Domain=shop.example";
+      if (rng.below(5) == 0) line += "; Max-Age=0";  // a delete
+      if (rng.below(5) == 0) {
+        if (const auto parsed = net::parse_set_cookie(line + "; HttpOnly")) {
+          jar.set(url, *parsed, page->now(), cookies::JarApi::kHttp);
+        }
+      } else {
+        jar.set_from_string(url, line, page->now());
+      }
+    }
+    std::vector<const cookies::Cookie*> matched;
+    jar.peek(url, page->now(), cookies::JarApi::kScript, matched);
+    std::string want;
+    cookies::append_cookie_pairs(matched, want);
+
+    const auto ctx = context_for_url("https://cdn.tracker.com/t.js");
+    page->run_as(ctx, [&](script::PageServices& services) {
+      EXPECT_EQ(services.document_cookie_read(ctx), want) << "seed " << seed;
+      const auto& pairs = services.document_cookie_pairs(ctx);
+      ASSERT_EQ(pairs.size(), matched.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(pairs[i].name, matched[i]->name);
+        EXPECT_EQ(pairs[i].value, matched[i]->value);
+      }
+    });
+  }
+}
+
+TEST(CookiePairTest, OverwriteDecidesEveryTargetBeforeItsFirstWrite) {
+  // A write can grow the jar and move the cookies a read's pairs view. The
+  // jar's storage is full below, so the op's first write reallocates it;
+  // an interpreter that looked the second target up after that write would
+  // read freed memory, which the ASan build reports.
+  TestSite site;
+  site.catalog().add(spec_of(
+      "ow", "https://{site}/ow.js", Category::kFirstParty,
+      {script::overwrite({"a", "b"}, "{hex:8}",
+                         "; Domain=shop.example; Path=/")}));
+  auto page = site.open();
+  const auto ctx = context_for_url("https://www.shop.example/app.js");
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "a=1; Path=/");
+    services.document_cookie_write(ctx, "b=2; Path=/");
+  });
+  const auto& jar = site.browser().jar();
+  ASSERT_EQ(jar.size(), 2u);
+  ASSERT_EQ(jar.all().capacity(), 2u);  // the next creation reallocates
+
+  page->run_catalog_script("ow");
+  // Both targets were visible, so each gained a domain cookie of its own.
+  EXPECT_EQ(jar.size(), 4u);
+  EXPECT_TRUE(jar.find("a", "shop.example", "/").has_value());
+  EXPECT_TRUE(jar.find("b", "shop.example", "/").has_value());
 }
 
 }  // namespace

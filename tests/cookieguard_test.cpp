@@ -1,10 +1,17 @@
 // Tests for CookieGuard's enforcement: per-script-origin read filtering,
 // cross-domain write blocking, site-owner full access, inline denial, entity
-// grouping, per-site policies, and metadata (re-)attribution.
+// grouping, per-site policies, metadata (re-)attribution, and the
+// name/value pair filter against the string filter it replaced.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cookieguard/cookieguard.h"
+#include "cookies/cookie_jar.h"
 #include "script/interpreter.h"
+#include "script/rng.h"
 #include "test_support.h"
 
 namespace cg::cookieguard {
@@ -293,19 +300,22 @@ TEST_F(CookieGuardTest, ReadsFilteredCounterTracksHiddenCookies) {
   EXPECT_EQ(guard_->stats().cookies_hidden, 2u);
 }
 
-TEST(MetadataStoreTest, RecordLookupEraseSnapshot) {
+TEST(MetadataStoreTest, RecordLookupErase) {
   MetadataStore store;
   store.record("_ga", "googletagmanager.com");
   store.record("_fbp", "facebook.net");
   EXPECT_EQ(store.creator("_ga"), "googletagmanager.com");
   EXPECT_FALSE(store.creator("nope").has_value());
+  EXPECT_EQ(store.find_creator("nope"), nullptr);
   store.record("_ga", "google-analytics.com");  // re-attribution
   EXPECT_EQ(store.creator("_ga"), "google-analytics.com");
-  const auto snapshot = store.snapshot();
-  EXPECT_EQ(snapshot.size(), 2u);
+  ASSERT_NE(store.find_creator("_ga"), nullptr);
+  EXPECT_EQ(*store.find_creator("_ga"), "google-analytics.com");
+  EXPECT_EQ(store.size(), 2u);
   store.erase("_ga");
   EXPECT_FALSE(store.creator("_ga").has_value());
-  EXPECT_EQ(snapshot.size(), 2u);  // snapshot is a copy
+  EXPECT_EQ(store.find_creator("_ga"), nullptr);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 }  // namespace
@@ -515,6 +525,163 @@ TEST(CookieGuardStoreGetTest, SingleGetFilteredPerOrigin) {
   });
   page->loop().run_until_idle();
   EXPECT_TRUE(owner_saw);
+}
+
+}  // namespace
+}  // namespace cg::cookieguard
+
+// Appended: the pair filter against the string filter it replaced.
+namespace cg::cookieguard {
+namespace {
+
+using testsupport::TestSite;
+
+/// CookieGuard's document.cookie filter as it was before reads became
+/// name/value views: it split the joined string again and looked each name
+/// up in a copy of the metadata. may_access and the filter body are kept
+/// verbatim as the reference; the copy is read through creator().
+class StringFilterReference {
+ public:
+  StringFilterReference(const CookieGuardConfig& config,
+                        const MetadataStore& store)
+      : config_(config),
+        entities_(&entities::EntityMap::builtin()),
+        store_(store) {}
+
+  std::string filter(const std::string& actor, const std::string& site,
+                     std::string value) {
+    if (actor.empty()) {
+      if (!config_.deny_inline_scripts) return value;
+      ++stats_.inline_denied;
+      return std::string{};
+    }
+    if (config_.site_owner_full_access && actor == site) return value;
+
+    std::string filtered;
+    std::int64_t hidden = 0;
+    for (const auto& cookie : script::parse_cookie_string(value)) {
+      // Untracked cookies default to first-party ownership.
+      const std::string creator = store_.creator(cookie.name).value_or(site);
+      if (may_access(actor, creator, site)) {
+        if (!filtered.empty()) filtered += "; ";
+        filtered += std::string(cookie.name) + "=" + std::string(cookie.value);
+      } else {
+        ++hidden;
+        ++stats_.cookies_hidden;
+      }
+    }
+    if (hidden > 0) ++stats_.reads_filtered;
+    return filtered;
+  }
+
+  const CookieGuard::Stats& stats() const { return stats_; }
+
+ private:
+  bool may_access(const std::string& actor_domain,
+                  const std::string& creator_domain,
+                  const std::string& site) const {
+    if (actor_domain.empty()) return false;  // inline / unattributable
+    if (actor_domain == creator_domain) return true;
+    if (config_.site_owner_full_access && actor_domain == site) return true;
+    if (config_.entity_grouping &&
+        entities_->same_entity(actor_domain, creator_domain)) {
+      return true;
+    }
+    const auto it = config_.per_site_allowlist.find(site);
+    if (it != config_.per_site_allowlist.end() &&
+        it->second.count(actor_domain) != 0) {
+      return true;
+    }
+    return false;
+  }
+
+  const CookieGuardConfig& config_;
+  const entities::EntityMap* entities_;
+  const MetadataStore& store_;
+  CookieGuard::Stats stats_;
+};
+
+std::vector<CookieGuardConfig> filter_configs() {
+  std::vector<CookieGuardConfig> configs(5);
+  configs[1].entity_grouping = true;
+  configs[2].deny_inline_scripts = false;
+  configs[3].site_owner_full_access = false;
+  configs[4].per_site_allowlist[TestSite::kSite] = {"tracker.com"};
+  return configs;
+}
+
+TEST(CookieGuardPairFilterTest, MatchesTheStringFilterOnRandomJars) {
+  std::vector<script::ExecContext> actors;
+  for (const char* url :
+       {"https://www.shop.example/app.js",
+        "https://connect.facebook.net/fbevents.js",
+        "https://static.fbcdn.net/sdk.js", "https://cdn.tracker.com/t.js",
+        "https://cdn.other-ads.com/o.js"}) {
+    actors.push_back(context_for_url(url));
+  }
+  actors.push_back(inline_context());
+  const std::vector<std::string> names = {"_ga", "_fbp", "sess", "uid",
+                                          "a",   "ab",   ""};
+  const auto url = net::Url::must_parse(TestSite::kSiteUrl);
+
+  int reads = 0;
+  CookieGuard::Stats total;  // the reference's, so the cases are not vacuous
+  for (const CookieGuardConfig& config : filter_configs()) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      script::Rng rng(seed);
+      CookieGuard guard(config);
+      TestSite site;
+      site.browser().add_extension(&guard);
+      auto page = site.open();
+      const auto writes = 1 + rng.below(30);
+      for (std::uint64_t i = 0; i < writes; ++i) {
+        const auto& writer = actors[rng.below(actors.size())];
+        std::string line = names[rng.below(names.size())] + "=" +
+                           rng.hex(1 + rng.below(10)) + "; Path=/";
+        if (rng.below(6) == 0) line += "; Max-Age=0";  // a delete
+        page->run_as(writer, [&](script::PageServices& services) {
+          services.document_cookie_write(writer, line);
+        });
+      }
+
+      for (const auto& reader : actors) {
+        std::vector<const cookies::Cookie*> matched;
+        site.browser().jar().peek(url, page->now(), cookies::JarApi::kScript,
+                                  matched);
+        std::string unfiltered;
+        cookies::append_cookie_pairs(matched, unfiltered);
+        StringFilterReference reference(config, guard.store());
+        const std::string want = reference.filter(
+            reader.inline_script ? "" : reader.script_domain,
+            TestSite::kSite, unfiltered);
+
+        const CookieGuard::Stats before = guard.stats();
+        std::string got;
+        page->run_as(reader, [&](script::PageServices& services) {
+          got = services.document_cookie_read(reader);
+        });
+        const CookieGuard::Stats& after = guard.stats();
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " reader " + reader.script_url;
+        EXPECT_EQ(got, want) << where;
+        EXPECT_EQ(after.reads_filtered - before.reads_filtered,
+                  reference.stats().reads_filtered)
+            << where;
+        EXPECT_EQ(after.cookies_hidden - before.cookies_hidden,
+                  reference.stats().cookies_hidden)
+            << where;
+        EXPECT_EQ(after.inline_denied - before.inline_denied,
+                  reference.stats().inline_denied)
+            << where;
+        total.merge(reference.stats());
+        ++reads;
+      }
+    }
+  }
+  EXPECT_EQ(reads, 5 * 12 * 6);
+  EXPECT_GT(total.reads_filtered, 0u);
+  EXPECT_GT(total.cookies_hidden, total.reads_filtered);
+  EXPECT_GT(total.inline_denied, 0u);
 }
 
 }  // namespace

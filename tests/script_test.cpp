@@ -133,9 +133,11 @@ TEST(EncodeIdentifierTest, AllEncodings) {
 /// In-memory PageServices capturing every call.
 class FakeServices final : public PageServices {
  public:
-  std::string document_cookie_read(const ExecContext&) override {
+  const std::vector<CookiePair>& document_cookie_pairs(
+      const ExecContext&) override {
     ++reads;
-    return jar_string;
+    pairs = parse_cookie_string(jar_string);
+    return pairs;
   }
   void document_cookie_write(const ExecContext&,
                              std::string_view line) override {
@@ -145,7 +147,11 @@ class FakeServices final : public PageServices {
       const ExecContext&,
       std::function<void(std::vector<StoreCookie>)> cb) override {
     ++store_reads;
-    cb(parse_cookie_string(jar_string));
+    std::vector<StoreCookie> cookies;
+    for (const auto& c : parse_cookie_string(jar_string)) {
+      cookies.push_back({std::string(c.name), std::string(c.value)});
+    }
+    cb(std::move(cookies));
   }
   void cookie_store_get(
       const ExecContext&, std::string_view name,
@@ -153,7 +159,7 @@ class FakeServices final : public PageServices {
     ++store_gets;
     for (const auto& c : parse_cookie_string(jar_string)) {
       if (c.name == name) {
-        cb(c);
+        cb(StoreCookie{std::string(c.name), std::string(c.value)});
         return;
       }
     }
@@ -183,6 +189,7 @@ class FakeServices final : public PageServices {
   Rng& rng() override { return rng_; }
 
   std::string jar_string;
+  std::vector<CookiePair> pairs;  // views into jar_string
   int reads = 0;
   int store_reads = 0;
   int store_gets = 0;
