@@ -121,16 +121,15 @@ void CookieGuard::filter_cookie_read(browser::Page& page,
                                      cookies::CookieSource api,
                                      std::vector<script::CookiePair>& cookies) {
   (void)ctx;
+  (void)api;  // document.cookie and cookieStore reads are filtered alike
   const std::string actor = resolve_actor(stack, page);
   if (actor.empty()) {
     if (!config_.deny_inline_scripts) return;
     ++stats_.inline_denied;
+    stats_.cookies_hidden += cookies.size();
     note_decision(page, "cookieguard.inline_denied");
-    if (api == cookies::CookieSource::kCookieStore) {
-      stats_.cookies_hidden += cookies.size();
-      obs::metric_add("cookieguard.cookies_hidden",
-                      static_cast<std::int64_t>(cookies.size()));
-    }
+    obs::metric_add("cookieguard.cookies_hidden",
+                    static_cast<std::int64_t>(cookies.size()));
     cookies.clear();
     return;
   }

@@ -148,6 +148,23 @@ TEST_F(CookieGuardTest, InlineScriptsDeniedByDefault) {
   EXPECT_GE(guard_->stats().inline_denied, 2u);
 }
 
+TEST_F(CookieGuardTest, DeniedInlineReadsCountHiddenCookiesOnBothApis) {
+  auto page = open_with({});  // _fbp and sess in the jar
+  const auto ctx = inline_context();
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_read(ctx);
+  });
+  EXPECT_EQ(guard_->stats().inline_denied, 1u);
+  EXPECT_EQ(guard_->stats().cookies_hidden, 2u);
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.cookie_store_get_all(ctx, [](std::vector<script::StoreCookie>) {});
+  });
+  page->loop().run_until_idle();
+  EXPECT_EQ(guard_->stats().inline_denied, 2u);
+  EXPECT_EQ(guard_->stats().cookies_hidden, 4u);
+  EXPECT_EQ(guard_->stats().reads_filtered, 0u);  // denials are not filters
+}
+
 TEST_F(CookieGuardTest, InlineDenialCanBeDisabled) {
   CookieGuardConfig config;
   config.deny_inline_scripts = false;
@@ -667,8 +684,15 @@ TEST(CookieGuardPairFilterTest, MatchesTheStringFilterOnRandomJars) {
         EXPECT_EQ(after.reads_filtered - before.reads_filtered,
                   reference.stats().reads_filtered)
             << where;
+        // The one intended difference: the string filter returned "" to a
+        // denied inline read without counting what it hid, while a denied
+        // cookieStore read counted every cookie. Both now count them.
+        const std::uint64_t denied_hidden =
+            reader.inline_script && config.deny_inline_scripts
+                ? matched.size()
+                : 0;
         EXPECT_EQ(after.cookies_hidden - before.cookies_hidden,
-                  reference.stats().cookies_hidden)
+                  reference.stats().cookies_hidden + denied_hidden)
             << where;
         EXPECT_EQ(after.inline_denied - before.inline_denied,
                   reference.stats().inline_denied)
