@@ -20,8 +20,8 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "corpus/corpus.h"
-#include "crypto/crc32c.h"
 #include "crawler/crawler.h"
+#include "crypto/crc32c.h"
 #include "entities/entity_map.h"
 #include "report/json.h"
 #include "report/report.h"
@@ -1437,7 +1437,7 @@ TEST(StoreEncodeDifferentialTest, HandBuiltLogsMatchTheTwoPassEncoder) {
     ASSERT_TRUE(decoded.has_value()) << error.to_string();
     EXPECT_EQ(encode_site_payload(*decoded), payload);
   }
-  // The stress log's table really does need two-byte ids.
+  // Ids past 127 (two varint bytes) decode back to their strings.
   const auto decoded =
       decode_site_payload(encode_site_payload(interner_stress_log()), nullptr);
   ASSERT_TRUE(decoded.has_value());
