@@ -5,7 +5,7 @@
 
 namespace cg::serve {
 
-BlockCache::BlockCache(CacheConfig config) : config_(config) {
+AnswerCache::AnswerCache(CacheConfig config) : config_(config) {
   std::size_t shard_count = config_.shards < 1
                                 ? 1
                                 : static_cast<std::size_t>(config_.shards);
@@ -22,8 +22,8 @@ BlockCache::BlockCache(CacheConfig config) : config_(config) {
   }
 }
 
-std::shared_ptr<const instrument::VisitLog> BlockCache::get(
-    std::uint32_t archive, int rank) {
+std::shared_ptr<const report::Json> AnswerCache::get(std::uint32_t archive,
+                                                     int rank) {
   Shard& shard = shard_for(rank);
   const Key key{archive, rank};
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -35,41 +35,47 @@ std::shared_ptr<const instrument::VisitLog> BlockCache::get(
   // Refresh: splice the entry to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->log;
+  return it->second->answer;
 }
 
-void BlockCache::put(std::uint32_t archive, int rank,
-                     std::uint64_t encoded_bytes,
-                     std::shared_ptr<const instrument::VisitLog> log) {
+bool AnswerCache::contains(std::uint32_t archive, int rank) const {
+  Shard& shard = shard_for(rank);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.index.count(Key{archive, rank}) > 0;
+}
+
+void AnswerCache::put(std::uint32_t archive, int rank,
+                      std::uint64_t encoded_bytes,
+                      std::shared_ptr<const report::Json> answer) {
   if (per_shard_capacity_ == 0 || encoded_bytes > config_.max_block_bytes) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   Shard& shard = shard_for(rank);
   const Key key{archive, rank};
-  // Declared before the lock, so the evicted log is destroyed after the lock
-  // is released: freeing a decoded log is the slowest part of an eviction,
-  // and its deleter may re-enter this cache.
-  std::shared_ptr<const instrument::VisitLog> evicted;
+  // Declared before the lock, so the evicted answer is destroyed after the
+  // lock is released: freeing a rendered tree is the slowest part of an
+  // eviction, and its deleter may re-enter this cache.
+  std::shared_ptr<const report::Json> evicted;
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    // Another thread decoded the same block first; keep the incumbent.
+    // Another thread rendered the same answer first; keep the incumbent.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
   if (shard.lru.size() >= per_shard_capacity_) {
-    evicted = std::move(shard.lru.back().log);
+    evicted = std::move(shard.lru.back().answer);
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{key, std::move(log)});
+  shard.lru.push_front(Entry{key, std::move(answer)});
   shard.index[key] = shard.lru.begin();
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-BlockCache::Stats BlockCache::stats() const {
+AnswerCache::Stats AnswerCache::stats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
@@ -83,7 +89,7 @@ BlockCache::Stats BlockCache::stats() const {
   return stats;
 }
 
-void BlockCache::export_metrics(obs::MetricsRegistry& registry) const {
+void AnswerCache::export_metrics(obs::MetricsRegistry& registry) const {
   const Stats stats = this->stats();
   registry.add("serve.cache.hits", stats.hits);
   registry.add("serve.cache.misses", stats.misses);

@@ -1,25 +1,28 @@
-// Bounded hot-block cache for decoded archive sites.
+// Bounded answer cache for rendered per-site answers.
 //
 // Under zipfian traffic a few hundred popular sites absorb most per-site
-// lookups; caching their decoded VisitLogs turns the dominant query cost
-// (block CRC + record decode) into a map lookup. The cache is sharded by
-// rank to keep lock hold times off the serving path's critical section.
+// lookups. A `site <rank>` answer never changes for a given rank of a
+// loaded archive set, so caching the rendered report::Json turns the whole
+// query (block CRC, record decode, single-visit fold, render) into a map
+// lookup and one copy. The cache is sharded by rank to keep lock hold
+// times off the serving path's critical section.
 //
 // Policy (deterministic — a pure function of the access sequence, no
 // wall-clock, no randomness):
-//   admission:  blocks whose *encoded* size exceeds max_block_bytes are
-//               never admitted (one pathological megasite must not evict a
-//               shard's whole working set). Encoded size comes from the
-//               footer index, so the decision is made before decoding.
+//   admission:  answers whose block's *encoded* size exceeds
+//               max_block_bytes are never admitted (one pathological
+//               megasite must not evict a shard's whole working set).
+//               The caller passes the footer index length (or, for a
+//               wave chain, the materialized payload size).
 //   eviction:   strict LRU per shard; each shard holds at most
 //               max_entries / shards entries.
 //
 // The cache is semantically transparent: hit or miss, the caller gets the
-// same decoded log, so query answers are byte-identical at any thread
-// count even though concurrent interleavings may populate shards in
-// different orders. Counters are atomics exported into obs::MetricsRegistry
-// (serve.cache.*) — totals are interleaving-independent, per-shard
-// occupancy is diagnostic only.
+// same answer, so query answers are byte-identical at any thread count even
+// though concurrent interleavings may populate shards in different orders.
+// Counters are atomics exported into obs::MetricsRegistry (serve.cache.*) —
+// totals are interleaving-independent, per-shard occupancy is diagnostic
+// only.
 #pragma once
 
 #include <atomic>
@@ -30,13 +33,13 @@
 #include <mutex>
 #include <vector>
 
-#include "instrument/records.h"
 #include "obs/metrics.h"
+#include "report/json.h"
 
 namespace cg::serve {
 
 struct CacheConfig {
-  /// Total decoded-log entries across all shards; 0 disables caching.
+  /// Total rendered-answer entries across all shards; 0 disables caching.
   std::size_t max_entries = 4096;
   /// Admission bound on the encoded block size (footer index length).
   std::uint64_t max_block_bytes = 1 << 20;
@@ -44,24 +47,27 @@ struct CacheConfig {
   int shards = 16;
 };
 
-class BlockCache {
+class AnswerCache {
  public:
-  explicit BlockCache(CacheConfig config);
+  explicit AnswerCache(CacheConfig config);
 
-  BlockCache(const BlockCache&) = delete;
-  BlockCache& operator=(const BlockCache&) = delete;
+  AnswerCache(const AnswerCache&) = delete;
+  AnswerCache& operator=(const AnswerCache&) = delete;
 
-  /// Cached decoded log for (archive, rank), or null on miss. Thread-safe;
-  /// a hit refreshes the entry's LRU position.
-  std::shared_ptr<const instrument::VisitLog> get(std::uint32_t archive,
-                                                  int rank);
+  /// Cached answer for (archive, rank), or null on miss. Thread-safe; a
+  /// hit refreshes the entry's LRU position.
+  std::shared_ptr<const report::Json> get(std::uint32_t archive, int rank);
 
-  /// Offers a decoded log. Rejected (counted, not stored) when
-  /// encoded_bytes exceeds the admission bound or caching is disabled;
-  /// otherwise inserted, evicting the shard's LRU entry if full. A log
-  /// already present keeps the existing entry (refreshed).
+  /// True when (archive, rank) holds an answer. Counts nothing and leaves
+  /// the LRU order alone.
+  bool contains(std::uint32_t archive, int rank) const;
+
+  /// Offers an answer. Rejected (counted, not stored) when encoded_bytes
+  /// exceeds the admission bound or caching is disabled; otherwise
+  /// inserted, evicting the shard's LRU entry if full. An answer already
+  /// present keeps the existing entry (refreshed).
   void put(std::uint32_t archive, int rank, std::uint64_t encoded_bytes,
-           std::shared_ptr<const instrument::VisitLog> log);
+           std::shared_ptr<const report::Json> answer);
 
   struct Stats {
     std::int64_t hits = 0;
@@ -82,7 +88,7 @@ class BlockCache {
   using Key = std::pair<std::uint32_t, int>;
   struct Entry {
     Key key;
-    std::shared_ptr<const instrument::VisitLog> log;
+    std::shared_ptr<const report::Json> answer;
   };
   struct Shard {
     std::mutex mu;
@@ -90,7 +96,7 @@ class BlockCache {
     std::map<Key, std::list<Entry>::iterator> index;
   };
 
-  Shard& shard_for(int rank) {
+  Shard& shard_for(int rank) const {
     return *shards_[static_cast<std::size_t>(rank) % shards_.size()];
   }
 
@@ -104,5 +110,9 @@ class BlockCache {
   mutable std::atomic<std::int64_t> evictions_{0};
   mutable std::atomic<std::int64_t> rejected_{0};
 };
+
+/// The name perfbench (`perfbench/src/layers.cpp`) reads the cache's
+/// `Stats` under; kept until the benchmark itself moves to `AnswerCache`.
+using BlockCache = AnswerCache;
 
 }  // namespace cg::serve

@@ -31,6 +31,47 @@ report::Json error_json(const Query& query, const std::string& detail) {
   return out;
 }
 
+/// The `site <rank>` answer: the visit's record counts and its
+/// single-visit fold. A pure function of (rank, archive index, log), which
+/// is what lets the answer cache hold it.
+report::Json site_answer(int rank, int archive_index,
+                         const instrument::VisitLog& log) {
+  const analysis::SiteSummary folded =
+      analysis::fold_visit(entities::EntityMap::builtin(), {}, log);
+  const analysis::Totals& t = folded.totals;
+
+  report::Json out = report::Json::object();
+  out["kind"] = "site";
+  out["rank"] = rank;
+  out["archive"] = archive_index;
+  out["site"] = log.site;
+  out["host"] = log.site_host;
+  out["complete"] = log.complete();
+  out["attempts"] = log.attempts;
+  out["failure"] = std::string(fault::failure_class_name(log.failure));
+
+  report::Json records = report::Json::object();
+  records["script_sets"] = static_cast<std::int64_t>(log.script_sets.size());
+  records["http_sets"] = static_cast<std::int64_t>(log.http_sets.size());
+  records["reads"] = static_cast<std::int64_t>(log.reads.size());
+  records["requests"] = static_cast<std::int64_t>(log.requests.size());
+  records["dom_mods"] = static_cast<std::int64_t>(log.dom_mods.size());
+  records["includes"] = static_cast<std::int64_t>(log.includes.size());
+  out["records"] = std::move(records);
+
+  report::Json a = report::Json::object();
+  a["third_party_scripts"] = t.third_party_script_count;
+  a["tp_cookies_set"] = t.tp_cookies_set;
+  a["fp_cookies_set"] = t.fp_cookies_set;
+  a["pairs_set"] = static_cast<std::int64_t>(folded.pairs.size());
+  a["cross_overwrites"] = t.cross_overwrites;
+  a["exfiltrated"] = t.sites_doc_exfil + t.sites_store_exfil > 0;
+  a["overwritten"] = t.sites_doc_overwrite + t.sites_store_overwrite > 0;
+  a["deleted"] = t.sites_doc_delete + t.sites_store_delete > 0;
+  out["analysis"] = std::move(a);
+  return out;
+}
+
 report::Json api_breakdown(const analysis::SiteSummary& s, CookieSource via,
                            int sites_exfil, int sites_over, int sites_del,
                            int sites_complete) {
@@ -165,91 +206,55 @@ int Server::site_count() const {
   return n;
 }
 
-std::shared_ptr<const instrument::VisitLog> Server::load_site(
-    int rank, int* archive_index, store::Error* error) const {
-  if (chain_) {
-    // Chain mode: kSite answers the newest wave, materialized through the
-    // chain. Cached under the newest wave's archive index, keyed by the
-    // materialized payload size for admission.
-    const int top = chain_->waves() - 1;
-    *archive_index = top;
-    const auto key = static_cast<std::uint32_t>(top);
-    if (auto cached = cache_.get(key, rank)) return cached;
-    const auto payload = chain_->payload_at(rank, top, error);
-    if (!payload) return nullptr;
-    auto log = store::decode_site_payload(*payload, error);
-    if (!log) return nullptr;
-    auto shared =
-        std::make_shared<const instrument::VisitLog>(std::move(*log));
-    cache_.put(key, rank, payload->size(), shared);
-    return shared;
-  }
+int Server::archive_for(int rank) const {
+  if (chain_) return chain_->waves() - 1;
   for (std::size_t i = 0; i < archives_.size(); ++i) {
-    const Archive& archive = archives_[i];
-    const store::IndexEntry* entry =
-        find_entry(archive.reader.index(), rank);
-    if (entry == nullptr) continue;
-    *archive_index = static_cast<int>(i);
-    if (auto cached = cache_.get(static_cast<std::uint32_t>(i), rank)) {
-      return cached;
+    if (find_entry(archives_[i].reader.index(), rank) != nullptr) {
+      return static_cast<int>(i);
     }
-    auto log = archive.reader.visit(rank, error);
-    if (!log) return nullptr;  // corrupt block — error already filled
-    auto shared =
-        std::make_shared<const instrument::VisitLog>(std::move(*log));
-    cache_.put(static_cast<std::uint32_t>(i), rank, entry->length, shared);
-    return shared;
   }
-  if (error != nullptr) {
-    *error = {fault::ArchiveFault::kNone,
-              "rank " + std::to_string(rank) + " is in no loaded archive"};
+  return -1;
+}
+
+std::optional<instrument::VisitLog> Server::load_site(
+    int rank, int archive_index, std::uint64_t* encoded_bytes,
+    store::Error* error) const {
+  if (chain_) {
+    // Chain mode: the newest wave, materialized through the chain; its
+    // payload size stands in for the encoded block size.
+    const auto payload = chain_->payload_at(rank, archive_index, error);
+    if (!payload) return std::nullopt;
+    *encoded_bytes = payload->size();
+    return store::decode_site_payload(*payload, error);
   }
-  return nullptr;
+  const store::Reader& reader =
+      archives_[static_cast<std::size_t>(archive_index)].reader;
+  *encoded_bytes = find_entry(reader.index(), rank)->length;
+  return reader.visit(rank, error);
 }
 
 report::Json Server::handle_site(const Query& query) const {
-  int archive_index = -1;
+  const int archive_index = archive_for(query.rank);
+  if (archive_index < 0) {
+    return error_json(query, "rank " + std::to_string(query.rank) +
+                                 " is in no loaded archive");
+  }
+  const auto key = static_cast<std::uint32_t>(archive_index);
+  if (const auto cached = cache_.get(key, query.rank)) return *cached;
+
+  std::uint64_t encoded_bytes = 0;
   store::Error error;
-  const auto log = load_site(query.rank, &archive_index, &error);
-  if (log == nullptr) {
+  const auto log =
+      load_site(query.rank, archive_index, &encoded_bytes, &error);
+  if (!log) {
     return error_json(query, error.code == fault::ArchiveFault::kNone
                                  ? error.detail
                                  : error.to_string());
   }
-  const analysis::SiteSummary folded =
-      analysis::fold_visit(entities::EntityMap::builtin(), {}, *log);
-  const analysis::Totals& t = folded.totals;
-
-  report::Json out = report::Json::object();
-  out["kind"] = "site";
-  out["rank"] = query.rank;
-  out["archive"] = archive_index;
-  out["site"] = log->site;
-  out["host"] = log->site_host;
-  out["complete"] = log->complete();
-  out["attempts"] = log->attempts;
-  out["failure"] = std::string(fault::failure_class_name(log->failure));
-
-  report::Json records = report::Json::object();
-  records["script_sets"] = static_cast<std::int64_t>(log->script_sets.size());
-  records["http_sets"] = static_cast<std::int64_t>(log->http_sets.size());
-  records["reads"] = static_cast<std::int64_t>(log->reads.size());
-  records["requests"] = static_cast<std::int64_t>(log->requests.size());
-  records["dom_mods"] = static_cast<std::int64_t>(log->dom_mods.size());
-  records["includes"] = static_cast<std::int64_t>(log->includes.size());
-  out["records"] = std::move(records);
-
-  report::Json a = report::Json::object();
-  a["third_party_scripts"] = t.third_party_script_count;
-  a["tp_cookies_set"] = t.tp_cookies_set;
-  a["fp_cookies_set"] = t.fp_cookies_set;
-  a["pairs_set"] = static_cast<std::int64_t>(folded.pairs.size());
-  a["cross_overwrites"] = t.cross_overwrites;
-  a["exfiltrated"] = t.sites_doc_exfil + t.sites_store_exfil > 0;
-  a["overwritten"] = t.sites_doc_overwrite + t.sites_store_overwrite > 0;
-  a["deleted"] = t.sites_doc_delete + t.sites_store_delete > 0;
-  out["analysis"] = std::move(a);
-  return out;
+  auto answer = std::make_shared<const report::Json>(
+      site_answer(query.rank, archive_index, *log));
+  cache_.put(key, query.rank, encoded_bytes, answer);
+  return *answer;
 }
 
 report::Json Server::build_table1() const {
@@ -485,7 +490,7 @@ report::Json Server::stats_json() const {
   queries["errors"] = query_errors_.load(std::memory_order_relaxed);
   out["queries"] = std::move(queries);
 
-  const BlockCache::Stats cache = cache_.stats();
+  const AnswerCache::Stats cache = cache_.stats();
   report::Json c = report::Json::object();
   c["hits"] = cache.hits;
   c["misses"] = cache.misses;

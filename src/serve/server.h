@@ -7,14 +7,15 @@
 // per-entity index, and render the aggregate answers — and every query
 // afterwards is cheap:
 //
-//   per-site (kSite):  footer-index random access -> hot block cache ->
-//                      one-block decode + single-visit fold. Never a scan.
+//   per-site (kSite):  answer cache -> on a miss, footer-index random
+//                      access, one-block decode, single-visit fold and
+//                      render, then the answer is cached. Never a scan.
 //   aggregates:        table1/totals return answers rendered at load;
 //                      top-N queries slice full precomputed rankings.
 //                      Never a walk, never a re-fold, never a pair-map scan.
 //
 // handle() is const and thread-safe: archives, summaries, and the entity
-// index are immutable after open(); the block cache locks per shard; query
+// index are immutable after open(); the answer cache locks per shard; query
 // counters are atomics. Answers are rendered to report::Json with sorted
 // keys, so the response to a given query is byte-identical regardless of
 // thread count, interleaving, or cache state — the property
@@ -42,10 +43,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/fold.h"
+#include "instrument/records.h"
 #include "report/json.h"
 #include "serve/cache.h"
 #include "serve/query.h"
@@ -113,7 +116,7 @@ class Server {
   /// Exports serve.* counters (queries by kind, cache) into `registry`.
   void export_metrics(obs::MetricsRegistry& registry) const;
 
-  const BlockCache& cache() const { return cache_; }
+  const AnswerCache& cache() const { return cache_; }
 
  private:
   struct Archive {
@@ -134,10 +137,19 @@ class Server {
   report::Json build_totals() const;
   report::Json build_waves() const;
 
-  /// Decodes (archive_index, rank) through the cache. Null + error when the
-  /// rank is in no archive or its block is corrupt.
-  std::shared_ptr<const instrument::VisitLog> load_site(
-      int rank, int* archive_index, store::Error* error) const;
+  /// The archive a `site <rank>` answer comes from, and the archive half of
+  /// its cache key: the first loaded archive holding the rank, the newest
+  /// wave's in chain mode. -1 when no archive holds it (not in chain mode,
+  /// where the chain reports a missing rank itself).
+  int archive_for(int rank) const;
+
+  /// Decodes `rank` from `archive_index` (chain mode: materialized through
+  /// the chain), uncached: the answer cache sits in handle_site, in front of
+  /// this. `encoded_bytes` receives the size the cache admits by. Empty +
+  /// error when the rank is not in the archive or its block is corrupt.
+  std::optional<instrument::VisitLog> load_site(int rank, int archive_index,
+                                                std::uint64_t* encoded_bytes,
+                                                store::Error* error) const;
 
   std::vector<Archive> archives_;
   /// Chain mode: the validated base+delta chain over archives_ (borrows
@@ -159,7 +171,7 @@ class Server {
   report::Json totals_answer_;
   std::vector<analysis::SiteSummary::RankedPair> ranked_exfiltrated_;
   std::vector<std::pair<std::string, int>> ranked_domains_;
-  mutable BlockCache cache_;
+  mutable AnswerCache cache_;
   mutable std::array<std::atomic<std::int64_t>, kQueryKindCount>
       queries_by_kind_{};
   mutable std::atomic<std::int64_t> query_errors_{0};

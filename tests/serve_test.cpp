@@ -1,4 +1,4 @@
-// Serving-tier tests: zipfian workload determinism and shape, hot-block
+// Serving-tier tests: zipfian workload determinism and shape, answer
 // cache admission/eviction/stats semantics, the query line protocol, and
 // Server answers — aggregate == batch fold, per-site == random access,
 // and N-thread == 1-thread byte-identity.
@@ -187,23 +187,23 @@ TEST(QueryParseTest, EveryAsciiWhitespaceSeparates) {
 
 // ---- cache ----------------------------------------------------------------
 
-std::shared_ptr<const instrument::VisitLog> log_for(int rank) {
-  instrument::VisitLog log;
-  log.rank = rank;
-  log.site = "site" + std::to_string(rank) + ".com";
-  return std::make_shared<const instrument::VisitLog>(std::move(log));
+std::shared_ptr<const report::Json> answer_for(int rank) {
+  report::Json answer = report::Json::object();
+  answer["rank"] = rank;
+  answer["site"] = "site" + std::to_string(rank) + ".com";
+  return std::make_shared<const report::Json>(std::move(answer));
 }
 
-TEST(BlockCacheTest, HitMissAndCounters) {
+TEST(AnswerCacheTest, HitMissAndCounters) {
   CacheConfig config;
   config.max_entries = 4;
   config.shards = 1;
-  BlockCache cache(config);
+  AnswerCache cache(config);
   EXPECT_EQ(cache.get(0, 1), nullptr);
-  cache.put(0, 1, 100, log_for(1));
+  cache.put(0, 1, 100, answer_for(1));
   const auto hit = cache.get(0, 1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->rank, 1);
+  EXPECT_EQ(hit->find("rank")->as_int(), 1);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
@@ -211,24 +211,40 @@ TEST(BlockCacheTest, HitMissAndCounters) {
   EXPECT_EQ(stats.entries, 1);
 }
 
-TEST(BlockCacheTest, ArchiveIndexIsPartOfTheKey) {
+TEST(AnswerCacheTest, ContainsNeitherCountsNorRefreshes) {
+  CacheConfig config;
+  config.max_entries = 2;
+  config.shards = 1;
+  AnswerCache cache(config);
+  cache.put(0, 1, 100, answer_for(1));
+  cache.put(0, 2, 100, answer_for(2));
+  EXPECT_TRUE(cache.contains(0, 1));  // does not refresh 1: still the LRU
+  EXPECT_FALSE(cache.contains(1, 1));
+  cache.put(0, 3, 100, answer_for(3));  // evicts 1
+  EXPECT_FALSE(cache.contains(0, 1));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.misses, 0);
+}
+
+TEST(AnswerCacheTest, ArchiveIndexIsPartOfTheKey) {
   CacheConfig config;
   config.shards = 1;
-  BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
+  AnswerCache cache(config);
+  cache.put(0, 1, 100, answer_for(1));
   EXPECT_EQ(cache.get(1, 1), nullptr);  // same rank, other archive
   EXPECT_NE(cache.get(0, 1), nullptr);
 }
 
-TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
+TEST(AnswerCacheTest, EvictsLeastRecentlyUsed) {
   CacheConfig config;
   config.max_entries = 2;
   config.shards = 1;
-  BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
-  cache.put(0, 2, 100, log_for(2));
+  AnswerCache cache(config);
+  cache.put(0, 1, 100, answer_for(1));
+  cache.put(0, 2, 100, answer_for(2));
   ASSERT_NE(cache.get(0, 1), nullptr);  // refresh 1; 2 becomes LRU
-  cache.put(0, 3, 100, log_for(3));     // evicts 2
+  cache.put(0, 3, 100, answer_for(3));     // evicts 2
   EXPECT_EQ(cache.get(0, 2), nullptr);
   EXPECT_NE(cache.get(0, 1), nullptr);
   EXPECT_NE(cache.get(0, 3), nullptr);
@@ -236,58 +252,58 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().entries, 2);
 }
 
-TEST(BlockCacheTest, AdmissionRejectsOversizedBlocks) {
+TEST(AnswerCacheTest, AdmissionRejectsOversizedBlocks) {
   CacheConfig config;
   config.max_block_bytes = 1000;
   config.shards = 1;
-  BlockCache cache(config);
-  cache.put(0, 1, 1001, log_for(1));  // over the bound: never admitted
+  AnswerCache cache(config);
+  cache.put(0, 1, 1001, answer_for(1));  // over the bound: never admitted
   EXPECT_EQ(cache.get(0, 1), nullptr);
-  cache.put(0, 2, 1000, log_for(2));  // at the bound: admitted
+  cache.put(0, 2, 1000, answer_for(2));  // at the bound: admitted
   EXPECT_NE(cache.get(0, 2), nullptr);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.rejected_admission, 1);
   EXPECT_EQ(stats.insertions, 1);
 }
 
-TEST(BlockCacheTest, DuplicatePutKeepsIncumbent) {
+TEST(AnswerCacheTest, DuplicatePutKeepsIncumbent) {
   CacheConfig config;
   config.shards = 1;
-  BlockCache cache(config);
-  const auto first = log_for(1);
+  AnswerCache cache(config);
+  const auto first = answer_for(1);
   cache.put(0, 1, 100, first);
-  cache.put(0, 1, 100, log_for(1));  // concurrent decode of the same block
+  cache.put(0, 1, 100, answer_for(1));  // concurrent render of the same answer
   EXPECT_EQ(cache.get(0, 1).get(), first.get());
   EXPECT_EQ(cache.stats().insertions, 1);
 }
 
-TEST(BlockCacheTest, ZeroCapacityDisablesCaching) {
+TEST(AnswerCacheTest, ZeroCapacityDisablesCaching) {
   CacheConfig config;
   config.max_entries = 0;
-  BlockCache cache(config);
-  cache.put(0, 1, 100, log_for(1));
+  AnswerCache cache(config);
+  cache.put(0, 1, 100, answer_for(1));
   EXPECT_EQ(cache.get(0, 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
-TEST(BlockCacheTest, EvictedLogIsReleasedOutsideTheShardLock) {
-  // The cache may hold a log's last reference. Destroying it while the
+TEST(AnswerCacheTest, EvictedAnswerIsReleasedOutsideTheShardLock) {
+  // The cache may hold an answer's last reference. Destroying it while the
   // shard's mutex is held would deadlock a deleter that re-enters the same
   // shard, and would make every other reader of the shard wait on the free.
   CacheConfig config;
   config.max_entries = 1;
   config.shards = 1;
-  BlockCache cache(config);
+  AnswerCache cache(config);
   bool released = false;
   cache.put(0, 1, 100,
-            std::shared_ptr<const instrument::VisitLog>(
-                new instrument::VisitLog(),
-                [&](const instrument::VisitLog* log) {
+            std::shared_ptr<const report::Json>(
+                new report::Json(report::Json::object()),
+                [&](const report::Json* answer) {
                   EXPECT_NE(cache.get(0, 2), nullptr);  // same shard
-                  delete log;
+                  delete answer;
                   released = true;
                 }));
-  cache.put(0, 2, 100, log_for(2));  // evicts rank 1: its last reference
+  cache.put(0, 2, 100, answer_for(2));  // evicts rank 1: its last reference
   EXPECT_TRUE(released);
   EXPECT_EQ(cache.stats().evictions, 1);
 }
@@ -405,6 +421,24 @@ TEST(ServerTest, UnknownRankIsAnErrorAnswerNotACrash) {
   EXPECT_EQ(stats.find("queries")->find("errors")->as_int(), 1);
 }
 
+TEST(ServerTest, RepeatedUnknownRankInsertsNothing) {
+  // Error answers are never cached: each repeat is answered afresh and
+  // counted as one more error.
+  corpus::Corpus corpus(small_params(10));
+  const auto server = server_over(packed_archive(corpus));
+  Query q;
+  q.kind = QueryKind::kSite;
+  q.rank = 9999;
+  const std::string first = server->handle_text(q);
+  for (int repeat = 1; repeat <= 3; ++repeat) {
+    EXPECT_EQ(server->handle_text(q), first);
+    const auto stats = server->stats_json();
+    EXPECT_EQ(stats.find("queries")->find("errors")->as_int(), repeat + 1);
+    EXPECT_EQ(server->cache().stats().insertions, 0);
+    EXPECT_EQ(server->cache().stats().entries, 0);
+  }
+}
+
 TEST(ServerTest, EntityQueriesDistinguishKnownFromUnknown) {
   corpus::Corpus corpus(small_params(60));
   const auto server = server_over(packed_archive(corpus));
@@ -503,61 +537,97 @@ store::WriterOptions wave0_options(const corpus::Corpus& corpus) {
   return options;
 }
 
+/// Packs one archive image per wave (each a rank-ordered log list): wave 0
+/// full, every later wave a delta against the chain so far, recording the
+/// base provenance `cgsim pack --base` records.
+std::vector<std::string> pack_chain(
+    const store::WriterOptions& base_options,
+    const std::vector<std::vector<instrument::VisitLog>>& waves) {
+  std::vector<std::string> images;
+  std::vector<store::Reader> readers;
+  store::Error error;
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    std::ostringstream sink;
+    if (w == 0) {
+      store::Writer writer(&sink, base_options);
+      for (const auto& log : waves[w]) writer.add(log);
+      EXPECT_TRUE(writer.finish());
+    } else {
+      std::vector<const store::Reader*> so_far;
+      for (const auto& reader : readers) so_far.push_back(&reader);
+      const auto chain = store::WaveChain::link(std::move(so_far), &error);
+      EXPECT_TRUE(chain.has_value()) << error.to_string();
+      if (!chain) return {};
+      const store::Reader& tail = readers.back();
+      store::WriterOptions options = base_options;
+      options.kind = store::ArchiveKind::kDelta;
+      options.wave = static_cast<std::uint32_t>(w);
+      options.base.corpus_seed = tail.corpus_seed();
+      options.base.fault_seed = tail.fault_seed();
+      options.base.evolution_seed = tail.evolution_seed();
+      options.base.policy = tail.policy();
+      options.base.wave = tail.wave();
+      options.base.site_count =
+          static_cast<std::uint32_t>(tail.total_site_count());
+      options.base.footer_crc = tail.footer_crc();
+      store::Writer writer(&sink, options);
+      for (const auto& log : waves[w]) {
+        const auto base_payload =
+            chain->payload_at(log.rank, chain->waves() - 1, &error);
+        store::WaveBlock block = store::make_wave_block(
+            base_payload ? std::optional<std::string_view>(*base_payload)
+                         : std::nullopt,
+            log);
+        if (block.kind == store::WaveBlock::Kind::kInherited) {
+          EXPECT_TRUE(writer.add_inherited(log.rank));
+        } else {
+          EXPECT_TRUE(
+              writer.append_delta_block(log.rank, std::move(block.block)));
+        }
+      }
+      EXPECT_TRUE(writer.finish());
+    }
+    images.push_back(sink.str());
+    auto reader = store::Reader::from_buffer(images.back(), &error);
+    EXPECT_TRUE(reader.has_value()) << error.to_string();
+    if (!reader) return {};
+    readers.push_back(std::move(*reader));
+  }
+  return images;
+}
+
+/// A server over `images` in chain order.
+std::unique_ptr<Server> chain_server(const std::vector<std::string>& images,
+                                     ServerConfig config = {}) {
+  store::Error error;
+  std::vector<store::Reader> readers;
+  for (const std::string& image : images) {
+    auto reader = store::Reader::from_buffer(image, &error);
+    EXPECT_TRUE(reader.has_value()) << error.to_string();
+    if (!reader) return nullptr;
+    readers.push_back(std::move(*reader));
+  }
+  auto server = Server::from_readers(std::move(readers), config, &error);
+  EXPECT_NE(server, nullptr) << error.to_string();
+  return server;
+}
+
 TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
   corpus::Corpus corpus(small_params(20));
   const auto logs = crawl_logs(corpus);
   ASSERT_EQ(logs.size(), 20u);
 
-  // Wave 0: a full archive of the crawl.
+  // Wave 0: a full archive of the crawl. Wave 1: one site's requests
+  // disappear; everything else inherits.
   const store::WriterOptions base_options = wave0_options(corpus);
-  std::ostringstream w0_sink;
-  {
-    store::Writer writer(&w0_sink, base_options);
-    for (const auto& log : logs) writer.add(log);
-    ASSERT_TRUE(writer.finish());
-  }
-  store::Error error;
-  auto base = store::Reader::from_buffer(w0_sink.str(), &error);
-  ASSERT_TRUE(base.has_value()) << error.to_string();
-
-  // Wave 1: one site's requests disappear; everything else inherits.
   auto wave1 = logs;
   wave1[1].requests.clear();
-  store::WriterOptions delta_options = base_options;
-  delta_options.kind = store::ArchiveKind::kDelta;
-  delta_options.wave = 1;
-  delta_options.base.corpus_seed = base->corpus_seed();
-  delta_options.base.fault_seed = base->fault_seed();
-  delta_options.base.evolution_seed = base->evolution_seed();
-  delta_options.base.policy = base->policy();
-  delta_options.base.wave = base->wave();
-  delta_options.base.site_count =
-      static_cast<std::uint32_t>(base->total_site_count());
-  delta_options.base.footer_crc = base->footer_crc();
-  std::ostringstream w1_sink;
-  {
-    store::Writer writer(&w1_sink, delta_options);
-    for (const auto& log : wave1) {
-      auto block = store::encode_wave_block(*base, log, &error);
-      ASSERT_TRUE(block.has_value()) << error.to_string();
-      if (block->kind == store::WaveBlock::Kind::kInherited) {
-        ASSERT_TRUE(writer.add_inherited(log.rank));
-      } else {
-        ASSERT_TRUE(writer.append_delta_block(log.rank,
-                                              std::move(block->block)));
-      }
-    }
-    ASSERT_TRUE(writer.finish());
-  }
+  const auto images = pack_chain(base_options, {logs, wave1});
+  ASSERT_EQ(images.size(), 2u);
 
   // A delta among the loaded archives switches the server to chain mode.
-  auto delta = store::Reader::from_buffer(w1_sink.str(), &error);
-  ASSERT_TRUE(delta.has_value()) << error.to_string();
-  std::vector<store::Reader> readers;
-  readers.push_back(std::move(*base));
-  readers.push_back(std::move(*delta));
-  const auto server = Server::from_readers(std::move(readers), {}, &error);
-  ASSERT_NE(server, nullptr) << error.to_string();
+  const auto server = chain_server(images);
+  ASSERT_NE(server, nullptr);
   EXPECT_EQ(server->archive_count(), 2);
   EXPECT_EQ(server->site_count(), 20);
 
@@ -620,6 +690,65 @@ TEST(ServerTest, WaveChainServesTrendsAndNewestAggregate) {
   EXPECT_EQ(chain_site.find("analysis")->dump(),
             full_site.find("analysis")->dump());
   EXPECT_EQ(chain_site.find("records")->find("requests")->as_int(), 0);
+}
+
+TEST(ServerTest, ChainSiteAnswersAreCacheTransparentAndKeyedOnTheNewestWave) {
+  corpus::Corpus corpus(small_params(20));
+  const auto logs = crawl_logs(corpus);
+  ASSERT_EQ(logs.size(), 20u);
+  // Three waves: rank 2 loses its requests in wave 1, rank 3 its script
+  // cookie writes in wave 2; every other site inherits.
+  auto wave1 = logs;
+  wave1[1].requests.clear();
+  auto wave2 = wave1;
+  ASSERT_FALSE(wave2[2].script_sets.empty());
+  wave2[2].script_sets.clear();
+  const auto images = pack_chain(wave0_options(corpus), {logs, wave1, wave2});
+  ASSERT_EQ(images.size(), 3u);
+
+  const auto cached = chain_server(images);
+  ServerConfig disabled;
+  disabled.cache.max_entries = 0;
+  const auto uncached = chain_server(images, disabled);
+  ASSERT_NE(cached, nullptr);
+  ASSERT_NE(uncached, nullptr);
+  ASSERT_EQ(cached->wave_count(), 3);
+
+  for (int rank = 1; rank <= 20; ++rank) {
+    Query q;
+    q.kind = QueryKind::kSite;
+    q.rank = rank;
+    const std::string miss = cached->handle_text(q);
+    const std::string hit = cached->handle_text(q);
+    EXPECT_EQ(miss, hit) << "rank " << rank;
+    EXPECT_EQ(miss, uncached->handle_text(q)) << "rank " << rank;
+    EXPECT_EQ(cached->handle(q).find("archive")->as_int(), 2);
+    // Keyed on the newest wave's archive index, never an older wave's.
+    EXPECT_TRUE(cached->cache().contains(2, rank)) << "rank " << rank;
+    EXPECT_FALSE(cached->cache().contains(0, rank)) << "rank " << rank;
+    EXPECT_FALSE(cached->cache().contains(1, rank)) << "rank " << rank;
+  }
+  const auto stats = cached->cache().stats();
+  EXPECT_EQ(stats.misses, 20);
+  EXPECT_EQ(stats.hits, 40);
+  EXPECT_EQ(stats.insertions, 20);
+  EXPECT_EQ(uncached->cache().stats().insertions, 0);
+  EXPECT_EQ(uncached->cache().stats().entries, 0);
+
+  // Wave 2's change is served; a rank no wave holds is an error answer
+  // that is not cached.
+  Query changed;
+  changed.kind = QueryKind::kSite;
+  changed.rank = 3;
+  EXPECT_EQ(cached->handle(changed).find("records")->find("script_sets")
+                ->as_int(),
+            0);
+  Query unknown;
+  unknown.kind = QueryKind::kSite;
+  unknown.rank = 9999;
+  ASSERT_NE(cached->handle(unknown).find("error"), nullptr);
+  EXPECT_EQ(cached->handle_text(unknown), uncached->handle_text(unknown));
+  EXPECT_EQ(cached->cache().stats().insertions, 20);
 }
 
 TEST(ServerTest, WavesQueryWithoutAChainIsAnErrorAnswer) {

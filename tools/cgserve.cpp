@@ -12,12 +12,16 @@
 // single-line JSON on stdout, byte-deterministic for a given archive set
 // and query; diagnostics (timing, startup) go to stderr so stdout stays
 // clean for consumers.
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -43,30 +47,59 @@ int usage() {
                "usage: cgserve --archive FILE [--archive FILE...]\n"
                "               [--query LINE...] [--timing] [--metrics FILE]\n"
                "               [--cache-entries N]\n"
+               "--cache-entries N: how many rendered site answers to cache "
+               "(default 4096, 0 disables)\n"
                "queries: site <rank> | table1 | totals | top-exfiltrated [n]\n"
                "         | top-domains [n] | entity <name> | stats\n"
                "         | waves [domain]   (base+delta archive chains)\n");
   return 2;
 }
 
+/// A command-line error: names the flag, then the usage text; exit 2.
+[[noreturn]] void flag_error(const std::string& what, std::string_view flag) {
+  std::fprintf(stderr, "cgserve: %s %.*s\n", what.c_str(),
+               static_cast<int>(flag.size()), flag.data());
+  std::exit(usage());
+}
+
+/// A non-negative decimal entry count; anything else (a sign, a suffix,
+/// an overflow) is a flag error.
+std::size_t parse_count(const char* text, std::string_view flag) {
+  const bool digits =
+      *text != '\0' && std::strspn(text, "0123456789") == std::strlen(text);
+  errno = 0;
+  const unsigned long long n = digits ? std::strtoull(text, nullptr, 10) : 0;
+  if (!digits || errno == ERANGE || n > LONG_MAX) {
+    flag_error("bad value \"" + std::string(text) + "\" for", flag);
+  }
+  return static_cast<std::size_t>(n);
+}
+
+/// Strict: an unknown flag, or a value flag with no value after it (the end
+/// of argv or another --flag), exits 2 naming the flag.
 bool parse_args(int argc, char** argv, Options* out) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--timing") {
       out->timing = true;
-    } else if (arg == "--archive" && i + 1 < argc) {
-      out->archives.emplace_back(argv[++i]);
-    } else if (arg == "--query" && i + 1 < argc) {
-      out->queries.emplace_back(argv[++i]);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      out->metrics_path = argv[++i];
-    } else if (arg == "--cache-entries" && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 0) return false;
-      out->cache_entries = static_cast<std::size_t>(n);
+      continue;
+    }
+    if (arg != "--archive" && arg != "--query" && arg != "--metrics" &&
+        arg != "--cache-entries") {
+      flag_error("unknown flag", arg);
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      flag_error("missing value for", arg);
+    }
+    const char* value = argv[++i];
+    if (arg == "--archive") {
+      out->archives.emplace_back(value);
+    } else if (arg == "--query") {
+      out->queries.emplace_back(value);
+    } else if (arg == "--metrics") {
+      out->metrics_path = value;
     } else {
-      return false;
+      out->cache_entries = parse_count(value, arg);
     }
   }
   return !out->archives.empty();
