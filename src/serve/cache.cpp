@@ -54,8 +54,8 @@ void AnswerCache::put(std::uint32_t archive, int rank,
   Shard& shard = shard_for(rank);
   const Key key{archive, rank};
   // Declared before the lock, so the evicted answer is destroyed after the
-  // lock is released: freeing a rendered tree is the slowest part of an
-  // eviction, and its deleter may re-enter this cache.
+  // lock is released: no reader of the shard should wait on freeing it,
+  // and its deleter may re-enter this cache.
   std::shared_ptr<const report::Json> evicted;
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);

@@ -244,7 +244,7 @@ TEST(AnswerCacheTest, EvictsLeastRecentlyUsed) {
   cache.put(0, 1, 100, answer_for(1));
   cache.put(0, 2, 100, answer_for(2));
   ASSERT_NE(cache.get(0, 1), nullptr);  // refresh 1; 2 becomes LRU
-  cache.put(0, 3, 100, answer_for(3));     // evicts 2
+  cache.put(0, 3, 100, answer_for(3));  // evicts 2
   EXPECT_EQ(cache.get(0, 2), nullptr);
   EXPECT_NE(cache.get(0, 1), nullptr);
   EXPECT_NE(cache.get(0, 3), nullptr);

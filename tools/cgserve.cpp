@@ -14,7 +14,6 @@
 // clean for consumers.
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,7 +68,7 @@ std::size_t parse_count(const char* text, std::string_view flag) {
       *text != '\0' && std::strspn(text, "0123456789") == std::strlen(text);
   errno = 0;
   const unsigned long long n = digits ? std::strtoull(text, nullptr, 10) : 0;
-  if (!digits || errno == ERANGE || n > LONG_MAX) {
+  if (!digits || errno == ERANGE) {
     flag_error("bad value \"" + std::string(text) + "\" for", flag);
   }
   return static_cast<std::size_t>(n);
