@@ -8,7 +8,7 @@
 //        exfiltration flows the detector would miss.
 #include "cookieguard/cookieguard.h"
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,15 +36,10 @@ CrawlStats run(const corpus::Corpus& corpus,
   options.browser_config.async_stack_traces = async_stacks;
   options.threads = threads;
   // Per-worker guard instances so the enforcement crawls shard too.
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<crawler::PerWorker<cookieguard::CookieGuard>> guards;
   if (guard_config != nullptr) {
-    for (int i = 0; i < threads; ++i) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>(*guard_config));
-    }
-    options.extension_factory = [&guards](int worker) {
-      return std::vector<browser::Extension*>{
-          guards[static_cast<std::size_t>(worker)].get()};
-    };
+    guards.emplace(threads, *guard_config);
+    options.extension_factory = guards->factory();
   }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,39 +53,33 @@ void section(const char* title) {
 }
 
 /// What one whole-corpus crawl leaves behind. One sink folds every visit
-/// into the analyzer and the landing timings; the metrics registry and the
-/// summed counters of the per-worker CookieGuards (zero without a guard)
-/// feed the bake-off's blocked/hidden/partitioned columns.
+/// into the analyzer, whose totals keep the landing timings too; the
+/// metrics registry and the summed counters of the per-worker CookieGuards
+/// (zero without a guard) feed the bake-off's blocked/hidden/partitioned
+/// columns.
 struct Crawl {
   analysis::Analyzer analyzer;
-  perf::TimingCollector timings;
   obs::MetricsRegistry metrics;
   cookieguard::CookieGuard::Stats guard_stats;
 };
 
-/// Extensions are stateful, so each shard worker gets its own instance;
-/// enforcement is deterministic per visit, so the per-worker counters sum
-/// to one crawl-wide tally at any thread count.
-template <typename Extension>
-std::function<std::vector<browser::Extension*>(int)> per_worker(
-    std::vector<Extension>& instances) {
-  return [&instances](int worker) {
-    return std::vector<browser::Extension*>{
-        &instances[static_cast<std::size_t>(worker)]};
-  };
-}
-
 /// The one crawl helper: the whole corpus under `options` (policy, fault
 /// plan, per-worker extensions, trace, threads), metrics on.
 Crawl crawl(const corpus::Corpus& corpus, crawler::CrawlOptions options) {
-  Crawl out{analysis::Analyzer(corpus.entities()), {}, {}, {}};
+  Crawl out{analysis::Analyzer(corpus.entities()), {}, {}};
   options.metrics = &out.metrics;
   crawler::Crawler(corpus).crawl(
-      corpus.size(), options, [&out](instrument::VisitLog&& log) {
-        out.analyzer.ingest(log);
-        out.timings.add(log);
-      });
+      corpus.size(), options,
+      [&out](instrument::VisitLog&& log) { out.analyzer.ingest(log); });
   return out;
+}
+
+/// Table 4's landing-timing summary of a crawl, from the timings its
+/// analyzer kept for every visit.
+perf::Metrics landing_timings(const Crawl& crawl) {
+  const analysis::Totals& t = crawl.analyzer.totals();
+  return {perf::summarize(t.dom_content_loaded),
+          perf::summarize(t.dom_interactive), perf::summarize(t.load_event)};
 }
 
 /// The landing timings of a whole-corpus crawl under `options`, and
@@ -104,11 +97,12 @@ perf::Metrics timing_crawl(const corpus::Corpus& corpus,
 /// crawl() with one strict CookieGuard per worker.
 Crawl guarded_crawl(const corpus::Corpus& corpus,
                     crawler::CrawlOptions options) {
-  std::vector<cookieguard::CookieGuard> guards(
-      static_cast<std::size_t>(options.threads));
-  options.extension_factory = per_worker(guards);
+  crawler::PerWorker<cookieguard::CookieGuard> guards(options.threads);
+  options.extension_factory = guards.factory();
   Crawl out = crawl(corpus, options);
-  for (const auto& guard : guards) out.guard_stats.merge(guard.stats());
+  for (const auto& guard : guards.instances()) {
+    out.guard_stats.merge(guard->stats());
+  }
   return out;
 }
 
@@ -133,7 +127,7 @@ Crawl measurement_crawl(const corpus::Corpus& corpus, int threads,
                         PolicyKind policy,
                         obs::TraceRecorder* trace = nullptr) {
   if (trace == nullptr && policy == PolicyKind::kNone) {
-    Crawl replay{analysis::Analyzer(corpus.entities()), {}, {}, {}};
+    Crawl replay{analysis::Analyzer(corpus.entities()), {}, {}};
     if (bench::analyzer_from_archive_env(corpus, replay.analyzer)) {
       return replay;
     }
@@ -643,19 +637,18 @@ int main(int argc, char** argv) {
     const Crawl guarded = guarded_crawl(corpus, fault_free);
     print_fig5(plain.analyzer, guarded.analyzer, guarded.guard_stats);
 
-    std::vector<baselines::FilterListBlocker> blockers(
-        static_cast<std::size_t>(threads));
+    crawler::PerWorker<baselines::FilterListBlocker> blockers(threads);
     auto filter_options = fault_free;
-    filter_options.extension_factory = per_worker(blockers);
+    filter_options.extension_factory = blockers.factory();
     const Crawl filtered = crawl(corpus, filter_options);
     baselines::FilterListBlocker::Stats filter_stats;
-    for (const auto& blocker : blockers) {
-      filter_stats.scripts_blocked += blocker.stats().scripts_blocked;
-      filter_stats.requests_blocked += blocker.stats().requests_blocked;
+    for (const auto& blocker : blockers.instances()) {
+      filter_stats.scripts_blocked += blocker->stats().scripts_blocked;
+      filter_stats.requests_blocked += blocker->stats().requests_blocked;
     }
     print_baselines(plain.analyzer, filtered.analyzer, guarded.analyzer,
                     filter_stats);
-    table4 = perf::compare(plain.timings.metrics(), guarded.timings.metrics());
+    table4 = perf::compare(landing_timings(plain), landing_timings(guarded));
   }
 
   const breakage::BreakageEvaluator evaluator(corpus);

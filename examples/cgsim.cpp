@@ -98,7 +98,6 @@
 #include "obs/trace.h"
 #include "policy/partition_policy.h"
 #include "report/report.h"
-#include "runtime/thread_pool.h"
 #include "store/atomic_file.h"
 #include "store/chain.h"
 #include "store/reader.h"
@@ -463,25 +462,16 @@ int cmd_crawl(const Args& args) {
     options.scheduler_metrics = &scheduler_metrics;
   }
 
-  // One CookieGuard per crawl worker — extensions are stateful, so each
-  // thread needs its own instance (behaviour is per-visit deterministic).
-  // --policy cookieguard is the jar-identical engine plus the extension, so
-  // it installs the exact same per-worker guards as --guard.
+  // One CookieGuard per crawl worker. --policy cookieguard is the `none`
+  // engine plus the extension, so it installs the exact same per-worker
+  // guards as --guard.
   const bool want_guard =
       args.has("guard") ||
       options.policy == policy::PolicyKind::kCookieGuard;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<crawler::PerWorker<cookieguard::CookieGuard>> guards;
   if (want_guard) {
-    const int workers = options.threads <= 0
-                            ? runtime::ThreadPool::hardware_threads()
-                            : options.threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    guards.emplace(options.threads);
+    options.extension_factory = guards->factory();
   }
 
   // Crash-safe progress: persist a checkpoint every N sites; --resume

@@ -120,9 +120,9 @@ class Browser {
     return sites_.site_of(host);
   }
 
-  /// Active partitioning policy (never null; NoDefense by default — the
-  /// status-quo single jar, byte-identical to the pre-policy simulator).
-  /// Engines are stateless and shared; null resets to NoDefense.
+  /// Active partitioning policy (never null; `none`'s single jar by
+  /// default — byte-identical to the pre-policy simulator). Engines are
+  /// stateless and shared; null resets to `none`.
   void set_policy(const policy::PartitionPolicy* policy) {
     policy_ = policy != nullptr
                   ? policy

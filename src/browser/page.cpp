@@ -1,5 +1,6 @@
 #include "browser/page.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/psl.h"
@@ -217,22 +218,17 @@ void Page::run_as(const script::ExecContext& ctx,
 
 // ---- subframes (SOP boundary) -------------------------------------------
 
-/// PageServices for a cross-origin subframe: cookie operations hit a
-/// partitioned jar, DOM access goes to the frame's own document, and script
-/// inclusion/injection stays inside the frame. Nothing here can reach the
-/// main frame's first-party jar — SOP at work (paper §3).
-///
-/// Which partitioned jar depends on the active policy's frame_jar_scope():
-/// kPage passes the legacy per-page ephemeral jar keyed by frame origin
-/// (`legacy_jar` non-null, byte-identical to the pre-policy simulator);
-/// kBrowser leaves it null and routes through Page::policy_read /
-/// policy_store, so FPI/CHIPS frame cookies land in browser-level
-/// partitions keyed by the top-level site.
+/// PageServices for a cross-origin subframe: cookie operations go through
+/// the active policy with the frame's URL as their subject, DOM access goes
+/// to the frame's own document, and script inclusion/injection stays inside
+/// the frame. A cross-site frame lands in a partition keyed by the
+/// top-level site (`none`/`cookieguard` key it by the frame's origin too),
+/// so nothing here can reach the main frame's first-party jar — SOP at
+/// work (paper §3).
 class Page::FrameServices final : public script::PageServices {
  public:
-  FrameServices(Page& page, webplat::Frame& frame,
-                cookies::CookieJar* legacy_jar)
-      : page_(page), frame_(frame), legacy_jar_(legacy_jar) {}
+  FrameServices(Page& page, webplat::Frame& frame)
+      : page_(page), frame_(frame) {}
 
   const std::vector<script::CookiePair>& document_cookie_pairs(
       const script::ExecContext&) override {
@@ -246,11 +242,6 @@ class Page::FrameServices final : public script::PageServices {
   void document_cookie_write(const script::ExecContext&,
                              std::string_view cookie_line) override {
     page_.charge_api_call();
-    if (legacy_jar_ != nullptr) {
-      legacy_jar_->set_from_string(frame_.url(), cookie_line,
-                                   page_.browser().clock().now());
-      return;
-    }
     if (const auto parsed = net::parse_set_cookie(cookie_line)) {
       store(*parsed, std::nullopt);
     }
@@ -296,8 +287,9 @@ class Page::FrameServices final : public script::PageServices {
   }
   void send_request(const script::ExecContext& ctx,
                     const net::Url& url) override {
-    // Frame requests go out, but carry the partitioned jar, not the
-    // first-party one; attribution still works via the page stack.
+    // Frame requests go out through the page's fetch, which attaches
+    // cookies by the request URL like any other request; attribution still
+    // works via the page stack.
     page_.send_request(ctx, url);
   }
   void inject_script(const script::ExecContext&, std::string_view) override {
@@ -315,41 +307,23 @@ class Page::FrameServices final : public script::PageServices {
   script::Rng& rng() override { return page_.browser().rng(); }
 
  private:
-  /// RFC 6265 retrieval for the frame under the active scope, into the
-  /// frame's reusable buffer; legacy mode keeps the mutating retrieve()
-  /// (last_access semantics unchanged).
+  /// RFC 6265 retrieval for the frame through the policy, into the
+  /// frame's reusable buffer.
   const std::vector<const cookies::Cookie*>& read_cookies() {
-    const TimeMillis now = page_.browser().clock().now();
-    matched_.clear();
-    if (legacy_jar_ != nullptr) {
-      legacy_jar_->retrieve(frame_.url(), now, cookies::JarApi::kScript,
-                            matched_);
-    } else {
-      page_.policy_read(
-          page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript), now,
-          matched_);
-    }
+    page_.policy_read(page_.cookie_ctx(frame_.url(), cookies::JarApi::kScript),
+                      page_.browser().clock().now(), matched_);
     return matched_;
   }
   void store(const net::ParsedSetCookie& parsed,
              std::optional<cookies::CookieSource> source) {
-    const TimeMillis now = page_.browser().clock().now();
-    if (legacy_jar_ != nullptr) {
-      legacy_jar_->set(frame_.url(), parsed, now, cookies::JarApi::kScript,
-                       source);
-      return;
-    }
     page_.policy_store(frame_.url(), parsed,
                        page_.cookie_ctx(frame_.url(),
                                         cookies::JarApi::kScript),
-                       now, source);
+                       page_.browser().clock().now(), source);
   }
 
   Page& page_;
   webplat::Frame& frame_;
-  /// Legacy per-page partition (FrameJarScope::kPage); null routes through
-  /// the browser-level policy partitions (FrameJarScope::kBrowser).
-  cookies::CookieJar* legacy_jar_;
   std::vector<const cookies::Cookie*> matched_;
   std::vector<script::CookiePair> pairs_;
 };
@@ -367,14 +341,7 @@ void Page::run_in_frame(
     body(*this);
     return;
   }
-  // Under NoDefense/CookieGuard the cross-origin frame gets the legacy
-  // per-page ephemeral jar keyed by its origin; FPI/CHIPS route frame
-  // cookies into the browser-level partitions instead.
-  cookies::CookieJar* legacy_jar =
-      browser_.policy().frame_jar_scope() == policy::FrameJarScope::kPage
-          ? &partitioned_jars_[frame.url().origin()]
-          : nullptr;
-  FrameServices services(*this, frame, legacy_jar);
+  FrameServices services(*this, frame);
   body(services);
 }
 
@@ -455,6 +422,34 @@ void Page::script_read(const script::ExecContext& ctx,
   }
 }
 
+void Page::script_write(const script::ExecContext& ctx, bool allowed,
+                        const net::ParsedSetCookie& parsed,
+                        cookies::CookieSource api,
+                        std::string_view cookie_line) {
+  const auto change =
+      allowed ? policy_store(url_, parsed,
+                             cookie_ctx(url_, cookies::JarApi::kScript),
+                             browser_.clock().now(), api)
+              : std::nullopt;
+  if (change) {
+    for (auto* extension : browser_.extensions()) {
+      extension->on_script_cookie_change(*this, ctx, stack_, *change, api);
+    }
+    return;
+  }
+  // A cookieStore write has no line of its own: it reports `name=value`,
+  // built only here so an allowed write allocates nothing.
+  const std::string store_line =
+      api == cookies::CookieSource::kCookieStore
+          ? parsed.name + "=" + parsed.value
+          : std::string();
+  for (auto* extension : browser_.extensions()) {
+    extension->on_write_blocked(
+        *this, ctx, stack_,
+        api == cookies::CookieSource::kCookieStore ? store_line : cookie_line);
+  }
+}
+
 const std::vector<script::CookiePair>& Page::document_cookie_pairs(
     const script::ExecContext& ctx) {
   charge_api_call();
@@ -474,7 +469,6 @@ void Page::document_cookie_write(const script::ExecContext& ctx,
       return;
     }
   }
-  const TimeMillis now = browser_.clock().now();
   const auto parsed = net::parse_set_cookie(cookie_line);
   if (!parsed) {
     // Keep the legacy set_from_string rejection shape: parse failures are
@@ -487,19 +481,8 @@ void Page::document_cookie_write(const script::ExecContext& ctx,
     }
     return;
   }
-  const auto change =
-      policy_store(url_, *parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-                   now);
-  if (!change) {
-    for (auto* observer : browser_.extensions()) {
-      observer->on_write_blocked(*this, ctx, stack_, cookie_line);
-    }
-    return;
-  }
-  for (auto* extension : browser_.extensions()) {
-    extension->on_script_cookie_change(*this, ctx, stack_, *change,
-                                       cookies::CookieSource::kDocumentCookie);
-  }
+  script_write(ctx, /*allowed=*/true, *parsed,
+               cookies::CookieSource::kDocumentCookie, cookie_line);
 }
 
 void Page::cookie_store_get_all(
@@ -548,46 +531,20 @@ void Page::cookie_store_set(const script::ExecContext& ctx,
                             std::string_view name, std::string_view value) {
   charge_api_call();
   const webplat::StackTrace captured = stack_;
-  std::string cookie_name(name);
-  std::string cookie_value(value);
+  net::ParsedSetCookie parsed;
+  parsed.name = std::string(name);
+  parsed.value = std::string(value);
+  parsed.path = "/";
   loop_.post_microtask(
-      [this, ctx, cookie_name, cookie_value, captured]() {
+      [this, ctx, parsed = std::move(parsed), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
-        bool allowed = true;
-        for (auto* extension : browser_.extensions()) {
-          if (!extension->allow_store_write(*this, ctx, stack_, cookie_name,
-                                            cookie_value,
-                                            /*is_delete=*/false)) {
-            allowed = false;
-            break;
-          }
-        }
-        if (allowed) {
-          net::ParsedSetCookie parsed;
-          parsed.name = cookie_name;
-          parsed.value = cookie_value;
-          parsed.path = "/";
-          const auto change = policy_store(
-              url_, parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-              browser_.clock().now(), cookies::CookieSource::kCookieStore);
-          if (change) {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_script_cookie_change(
-                  *this, ctx, stack_, *change,
-                  cookies::CookieSource::kCookieStore);
-            }
-          } else {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_write_blocked(*this, ctx, stack_,
-                                          cookie_name + "=" + cookie_value);
-            }
-          }
-        } else {
-          for (auto* extension : browser_.extensions()) {
-            extension->on_write_blocked(*this, ctx, stack_,
-                                        cookie_name + "=" + cookie_value);
-          }
-        }
+        const bool allowed = std::ranges::all_of(
+            browser_.extensions(), [&](Extension* extension) {
+              return extension->allow_store_write(*this, ctx, stack_,
+                                                  parsed.name, parsed.value,
+                                                  /*is_delete=*/false);
+            });
+        script_write(ctx, allowed, parsed, cookies::CookieSource::kCookieStore);
         stack_ = saved;
       },
       captured);
@@ -597,43 +554,20 @@ void Page::cookie_store_delete(const script::ExecContext& ctx,
                                std::string_view name) {
   charge_api_call();
   const webplat::StackTrace captured = stack_;
-  std::string cookie_name(name);
+  net::ParsedSetCookie parsed;
+  parsed.name = std::string(name);
+  parsed.path = "/";
+  parsed.max_age_ms = -1000;
   loop_.post_microtask(
-      [this, ctx, cookie_name, captured]() {
+      [this, ctx, parsed = std::move(parsed), captured]() {
         const webplat::StackTrace saved = std::exchange(stack_, captured);
-        bool allowed = true;
-        for (auto* extension : browser_.extensions()) {
-          if (!extension->allow_store_write(*this, ctx, stack_, cookie_name,
-                                            "", /*is_delete=*/true)) {
-            allowed = false;
-            break;
-          }
-        }
-        if (allowed) {
-          net::ParsedSetCookie parsed;
-          parsed.name = cookie_name;
-          parsed.path = "/";
-          parsed.max_age_ms = -1000;
-          const auto change = policy_store(
-              url_, parsed, cookie_ctx(url_, cookies::JarApi::kScript),
-              browser_.clock().now(), cookies::CookieSource::kCookieStore);
-          if (change) {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_script_cookie_change(
-                  *this, ctx, stack_, *change,
-                  cookies::CookieSource::kCookieStore);
-            }
-          } else {
-            for (auto* extension : browser_.extensions()) {
-              extension->on_write_blocked(*this, ctx, stack_,
-                                          cookie_name + "=");
-            }
-          }
-        } else {
-          for (auto* extension : browser_.extensions()) {
-            extension->on_write_blocked(*this, ctx, stack_, cookie_name + "=");
-          }
-        }
+        const bool allowed = std::ranges::all_of(
+            browser_.extensions(), [&](Extension* extension) {
+              return extension->allow_store_write(*this, ctx, stack_,
+                                                  parsed.name, "",
+                                                  /*is_delete=*/true);
+            });
+        script_write(ctx, allowed, parsed, cookies::CookieSource::kCookieStore);
         stack_ = saved;
       },
       captured);
@@ -691,7 +625,7 @@ net::HttpResponse Page::fetch(net::HttpRequest request,
     }
   }
 
-  // Cookie attachment goes through the partitioning policy. Under NoDefense
+  // Cookie attachment goes through the partitioning policy. Under `none`
   // this is exactly the legacy rule — attach the first-party jar to
   // same-site requests only (a post-third-party-cookie browser); FPI/CHIPS
   // additionally consult the request's partitions.
@@ -709,7 +643,7 @@ net::HttpResponse Page::fetch(net::HttpRequest request,
 
   net::HttpResponse response = browser_.network().dispatch(request);
 
-  // Set-Cookie goes through the policy too. Under NoDefense cross-site
+  // Set-Cookie goes through the policy too. Under `none` cross-site
   // response cookies are refused — they would be third-party cookies, which
   // are phased out (§1) — exactly the legacy same-site gate; CHIPS lets
   // `Partitioned` ones through into the request's partition. Refused

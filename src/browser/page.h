@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,10 +66,12 @@ class Page final : public script::PageServices {
   webplat::Frame& create_subframe(const net::Url& url);
 
   /// Runs `body` inside `frame` under SOP rules (paper §3, Figure 1):
-  /// same-origin frames share the first-party jar and document; cross-origin
-  /// frames get a partitioned jar (keyed by frame origin) and their own
-  /// document — they cannot reach the main frame's cookies or DOM. This is
-  /// why the paper's adversary must be *in the main frame*.
+  /// same-origin frames share the main frame's services and document;
+  /// cross-origin frames get their own document and reach cookies through
+  /// the same policy engine as the main frame, with the frame's URL as the
+  /// subject. A cross-site frame lands in a partition keyed by the
+  /// top-level site, never in the first-party jar. This is why the paper's
+  /// adversary must be *in the main frame*.
   void run_in_frame(webplat::Frame& frame, const script::ExecContext& ctx,
                     const std::function<void(script::PageServices&)>& body);
 
@@ -131,7 +132,7 @@ class Page final : public script::PageServices {
   /// Retrieval through the active policy: fills the caller's `out` with
   /// the cookies of every partition key_for_read names, in key order, then
   /// drops those the engine's visibility filter hides — preserving the
-  /// single-jar path byte-for-byte under NoDefense. Nothing is copied; the
+  /// single-jar path byte-for-byte under `none`. Nothing is copied; the
   /// pointers are valid until the next jar change. `now` is passed
   /// explicitly so fetch() can pin the request-entry timestamp.
   void policy_read(const policy::CookieAccessContext& ctx, TimeMillis now,
@@ -139,8 +140,7 @@ class Page final : public script::PageServices {
 
   /// Storage through the active policy; returns the jar's CookieChange, or
   /// nullopt when the policy refused the store (defense-caused refusals are
-  /// tallied in Browser::policy_stats and `policy.*` metrics; callers fire
-  /// on_write_blocked like an extension veto).
+  /// tallied in Browser::policy_stats and `policy.*` metrics).
   std::optional<cookies::CookieChange> policy_store(
       const net::Url& source_url, const net::ParsedSetCookie& parsed,
       policy::CookieAccessContext ctx, TimeMillis now,
@@ -152,6 +152,16 @@ class Page final : public script::PageServices {
   /// on_cookie_read observers how many that is.
   void script_read(const script::ExecContext& ctx, cookies::CookieSource api,
                    std::optional<std::string_view> only = std::nullopt);
+
+  /// The tail of every main-frame script write, after its extension veto:
+  /// an `allowed` write is stored through the policy and fires
+  /// on_script_cookie_change; a vetoed or policy-refused one fires
+  /// on_write_blocked with `cookie_line` (document.cookie) or `name=value`
+  /// (cookieStore).
+  void script_write(const script::ExecContext& ctx, bool allowed,
+                    const net::ParsedSetCookie& parsed,
+                    cookies::CookieSource api,
+                    std::string_view cookie_line = {});
 
   class FrameServices;
 
@@ -168,9 +178,6 @@ class Page final : public script::PageServices {
   fault::FailureClass load_failure_ = fault::FailureClass::kNone;
   TimeMillis nav_start_ = 0;
   int inclusion_depth_ = 0;  // guards against inject cycles
-  /// Partitioned cookie jars for cross-origin subframes, keyed by the
-  /// subframe origin (Safari-ITP/Total-Cookie-Protection style, §2.1).
-  std::map<std::string, cookies::CookieJar> partitioned_jars_;
   /// policy_read's output buffer, reused by every main-frame read. Each
   /// reader consumes it before anything else can touch a jar.
   std::vector<const cookies::Cookie*> matched_;

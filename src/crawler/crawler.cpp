@@ -532,6 +532,10 @@ SiteOutcome Crawler::crawl_site(
   return outcome;
 }
 
+int worker_count(int threads) {
+  return threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
+}
+
 CrawlHealth Crawler::crawl_range(
     int first, int count, CrawlHealth health, const CrawlOptions& options,
     const std::function<void(instrument::VisitLog&&)>& sink) const {
@@ -539,11 +543,8 @@ CrawlHealth Crawler::crawl_range(
   const int begin = std::max(first, 0);
   const fault::FaultPlan plan = plan_for(options);
 
-  int threads = options.threads == 1 ? 1
-                : options.threads <= 0
-                    ? runtime::ThreadPool::hardware_threads()
-                    : options.threads;
-  threads = std::min(threads, std::max(n - begin, 1));
+  int threads =
+      std::min(worker_count(options.threads), std::max(n - begin, 1));
   // Shared extension instances cannot be driven from several workers; only
   // the per-worker factory parallelizes extension-bearing crawls.
   if (!options.extra_extensions.empty() && !options.extension_factory) {

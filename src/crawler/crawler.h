@@ -315,4 +315,43 @@ class Crawler {
   const corpus::CorpusView& corpus_;
 };
 
+/// The most worker threads a crawl at CrawlOptions::threads = `threads`
+/// runs on: `threads`, or all hardware threads when it is 0 or less.
+int worker_count(int threads);
+
+/// One extension `E` per crawl worker, for CrawlOptions::extension_factory.
+/// Extensions are stateful, so shard workers cannot share an instance; an
+/// `E` whose behaviour is deterministic per visit keeps the crawl
+/// byte-identical at any thread count, and its per-worker counters sum to
+/// one crawl-wide tally. Every instance is built from the constructor's
+/// `args`. The factory points into this object, so it must outlive the
+/// crawl.
+template <typename E>
+class PerWorker {
+ public:
+  template <typename... Args>
+  explicit PerWorker(int threads, const Args&... args) {
+    const int workers = worker_count(threads);
+    for (int w = 0; w < workers; ++w) {
+      instances_.push_back(std::make_unique<E>(args...));
+    }
+  }
+  PerWorker(const PerWorker&) = delete;
+  PerWorker& operator=(const PerWorker&) = delete;
+
+  /// Worker `w` installs instance `w`.
+  std::function<std::vector<browser::Extension*>(int worker)> factory() {
+    return [this](int worker) -> std::vector<browser::Extension*> {
+      return {instances_[static_cast<std::size_t>(worker)].get()};
+    };
+  }
+
+  const std::vector<std::unique_ptr<E>>& instances() const {
+    return instances_;
+  }
+
+ private:
+  std::vector<std::unique_ptr<E>> instances_;
+};
+
 }  // namespace cg::crawler

@@ -1,9 +1,7 @@
 #include "perf/perf.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "runtime/thread_pool.h"
+#include <optional>
 
 namespace cg::perf {
 
@@ -38,26 +36,18 @@ Comparison compare(const Metrics& normal, const Metrics& guarded) {
 namespace {
 
 /// One fault-free timing crawl. A non-null `guard` installs one CookieGuard
-/// built from it per crawl worker (extensions are stateful, so each thread
-/// needs its own; guard behaviour is per-visit deterministic, so the
-/// timings are identical at any thread count).
+/// built from it per crawl worker (guard behaviour is per-visit
+/// deterministic, so the timings are identical at any thread count).
 Metrics timing_crawl(const crawler::Crawler& crawl, int site_count,
                      int threads,
                      const cookieguard::CookieGuardConfig* guard) {
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<crawler::PerWorker<cookieguard::CookieGuard>> guards;
   crawler::CrawlOptions options;
   options.fault_plan.reset();
   options.threads = threads;
   if (guard != nullptr) {
-    const int workers =
-        threads <= 0 ? runtime::ThreadPool::hardware_threads() : threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>(*guard));
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    guards.emplace(threads, *guard);
+    options.extension_factory = guards->factory();
   }
   TimingCollector timings;
   crawl.crawl(site_count, options,

@@ -16,45 +16,44 @@ cookies::PartitionKey chips_key(const std::string& top_level_site) {
   return "chips:" + top_level_site;
 }
 
-/// Status-quo single jar: everything first-party lands in the default
-/// partition; cross-site traffic carries no cookies (the simulator models a
-/// post-third-party-cookie browser, §1). NoDefense and CookieGuardPolicy
-/// share this storage behaviour — CookieGuard changes the API boundary
-/// above the jar, never the jar itself (§6).
-class SingleJarPolicy : public PartitionPolicy {
+/// A script access from a cross-site subframe of a named top-level site.
+bool is_frame_access(const CookieAccessContext& ctx) {
+  return ctx.api == cookies::JarApi::kScript && !ctx.top_level_site.empty();
+}
+
+cookies::PartitionKey frame_key(const CookieAccessContext& ctx) {
+  return "frame:" + ctx.top_level_site + " " + ctx.subject_url.origin();
+}
+
+/// Status-quo single jar, the engine of both `none` and `cookieguard`:
+/// everything first-party lands in the default partition; cross-site
+/// traffic carries no cookies (the simulator models a
+/// post-third-party-cookie browser, §1). CookieGuard changes the API
+/// boundary above the jar, never the jar itself (§6).
+///
+/// The one cross-site access that keeps cookies is a script in a cross-site
+/// subframe of a named top-level site: the Same-Origin Policy (paper §3,
+/// Figure 1) gives it a partition keyed by the top-level site and the
+/// frame's origin, so it never reaches the first-party jar and no two
+/// top-level sites share it.
+class SingleJarPolicy final : public PartitionPolicy {
  public:
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
-    if (ctx.cross_site) {
-      return StoreDecision::blocked(std::string(kThirdPartyPhasedOut));
-    }
-    return StoreDecision::ok(cookies::PartitionKey());
+    if (!ctx.cross_site) return StoreDecision::ok(cookies::PartitionKey());
+    if (is_frame_access(ctx)) return StoreDecision::ok(frame_key(ctx));
+    return StoreDecision::blocked(std::string(kThirdPartyPhasedOut));
   }
 
   ReadDecision key_for_read(const CookieAccessContext& ctx) const override {
-    if (ctx.cross_site) {
-      return ReadDecision::blocked(std::string(kThirdPartyPhasedOut));
-    }
-    return ReadDecision::ok({cookies::PartitionKey()});
+    if (!ctx.cross_site) return ReadDecision::ok({cookies::PartitionKey()});
+    if (is_frame_access(ctx)) return ReadDecision::ok({frame_key(ctx)});
+    return ReadDecision::blocked(std::string(kThirdPartyPhasedOut));
   }
 
   bool visible(const cookies::Cookie&,
                const CookieAccessContext&) const override {
     return true;
   }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kPage;
-  }
-};
-
-class NoDefense final : public SingleJarPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kNone; }
-};
-
-class CookieGuardPolicy final : public SingleJarPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kCookieGuard; }
 };
 
 /// Firefox First-Party Isolation: every cookie jar is double-keyed by the
@@ -64,8 +63,6 @@ class CookieGuardPolicy final : public SingleJarPolicy {
 /// cannot name its first party is an error with Firefox's exact message.
 class FirstPartyIsolation final : public PartitionPolicy {
  public:
-  PolicyKind kind() const override { return PolicyKind::kFirstPartyIsolation; }
-
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (ctx.top_level_site.empty()) {
       return StoreDecision::blocked(std::string(kFpiMissingAttributeError),
@@ -86,10 +83,6 @@ class FirstPartyIsolation final : public PartitionPolicy {
                const CookieAccessContext&) const override {
     return true;  // partition separation IS the isolation
   }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kBrowser;
-  }
 };
 
 /// RFC6265bis + CHIPS: first-party cookies stay in the default partition;
@@ -98,8 +91,6 @@ class FirstPartyIsolation final : public PartitionPolicy {
 /// retrieve/store(url, partition_key, flags) shape).
 class Chips final : public PartitionPolicy {
  public:
-  PolicyKind kind() const override { return PolicyKind::kChips; }
-
   StoreDecision key_for_store(const CookieAccessContext& ctx) const override {
     if (ctx.partitioned_attribute) {
       return StoreDecision::ok(chips_key(ctx.top_level_site));
@@ -129,10 +120,6 @@ class Chips final : public PartitionPolicy {
     // Cross-site, only Partitioned cookies exist; belt and braces on top of
     // the partition-key separation.
     return !ctx.cross_site || cookie.partitioned;
-  }
-
-  FrameJarScope frame_jar_scope() const override {
-    return FrameJarScope::kBrowser;
   }
 };
 
@@ -169,21 +156,19 @@ std::string script_origin_from_stack(const webplat::StackTrace& stack) {
 const PartitionPolicy& engine_for(PolicyKind kind) {
   // Stateless const singletons: shareable across crawl workers, no mutable
   // state (determinism contract D4).
-  static const NoDefense none;
-  static const CookieGuardPolicy cookieguard;
+  static const SingleJarPolicy single_jar;
   static const FirstPartyIsolation fpi;
   static const Chips chips;
   switch (kind) {
     case PolicyKind::kNone:
-      return none;
     case PolicyKind::kCookieGuard:
-      return cookieguard;
+      return single_jar;
     case PolicyKind::kFirstPartyIsolation:
       return fpi;
     case PolicyKind::kChips:
       return chips;
   }
-  return none;
+  return single_jar;
 }
 
 }  // namespace cg::policy

@@ -7,12 +7,15 @@
 // (cookies::PartitionedJarStore, a key → RFC 6265 jar map) from *policy*
 // (which partition an access lands in, and which cookies an actor may see):
 //
-//   * NoDefense          — the status-quo single jar; byte-identical to the
-//                          pre-policy simulator.
-//   * CookieGuardPolicy  — jar behaviour identical to NoDefense; the
-//                          CookieGuard *extension* interposes above the jar
-//                          (paper §6 changes the API boundary, not storage),
-//                          so src/cookieguard/ sits on top unchanged.
+//   * SingleJarPolicy    — the status-quo single jar, the engine of both
+//                          `none` and `cookieguard`: the CookieGuard
+//                          *extension* interposes above the jar (paper §6
+//                          changes the API boundary, not storage), so
+//                          src/cookieguard/ sits on top unchanged. A
+//                          cross-site subframe script gets a partition
+//                          keyed by the top-level site and its own origin
+//                          (the Same-Origin Policy of paper §3); every
+//                          other cross-site access is refused.
 //   * FirstPartyIsolation— Firefox `privacy.firstparty.isolate`: every jar
 //                          is keyed by the top-level site (firstPartyDomain
 //                          origin attribute); an access that cannot name its
@@ -24,8 +27,8 @@
 //                          site; unpartitioned third-party traffic is
 //                          blocked.
 //
-// Engines are stateless and shared: one const instance per kind serves every
-// browser on every crawl worker (determinism contract D4 — no mutable
+// Engines are stateless and shared: one const instance per engine serves
+// every browser on every crawl worker (determinism contract D4 — no mutable
 // statics; all state lives in the per-browser jar store).
 #pragma once
 
@@ -90,7 +93,7 @@ struct StoreDecision {
   /// True when the refusal is caused by the defense under test (tallied as
   /// a blocked manipulation); false for refusals every engine shares — the
   /// post-third-party-cookie baseline blocks cross-site HTTP cookies under
-  /// NoDefense too, and counting those would credit the baseline to the
+  /// `none` too, and counting those would credit the baseline to the
   /// defense.
   bool defense_block = false;
 
@@ -134,21 +137,9 @@ struct ReadDecision {
   }
 };
 
-/// Where a cross-origin subframe's cookies live under this policy.
-enum class FrameJarScope {
-  /// Ephemeral per-page jar keyed by frame origin (the simulator's legacy
-  /// TCP-style model; NoDefense/CookieGuard keep it for byte-identity).
-  kPage,
-  /// The browser's partitioned store, under key_for_* of the frame context
-  /// (FPI/CHIPS: partitions outlive the page, scoped by first party).
-  kBrowser,
-};
-
 class PartitionPolicy {
  public:
   virtual ~PartitionPolicy() = default;
-
-  virtual PolicyKind kind() const = 0;
 
   /// Which partition a Set-Cookie/write in `ctx` lands in, or why not.
   virtual StoreDecision key_for_store(const CookieAccessContext& ctx)
@@ -162,13 +153,10 @@ class PartitionPolicy {
   /// a partition is readable.
   virtual bool visible(const cookies::Cookie& cookie,
                        const CookieAccessContext& ctx) const = 0;
-
-  /// Where cross-origin subframe cookies live under this policy.
-  virtual FrameJarScope frame_jar_scope() const = 0;
 };
 
 /// The shared stateless engine for `kind`. Never null; valid for the
-/// program's lifetime.
+/// program's lifetime. kNone and kCookieGuard share one engine.
 const PartitionPolicy& engine_for(PolicyKind kind);
 
 }  // namespace cg::policy

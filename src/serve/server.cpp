@@ -240,7 +240,16 @@ report::Json Server::handle_site(const Query& query) const {
                                  " is in no loaded archive");
   }
   const auto key = static_cast<std::uint32_t>(archive_index);
-  if (const auto cached = cache_.get(key, query.rank)) return *cached;
+  // In chain mode archive_for names the newest wave for any rank; a rank
+  // that wave lacks skips the cache, and load_site answers with the chain's
+  // own error.
+  const bool in_archive =
+      !chain_ || std::binary_search(chain_->ranks(archive_index).begin(),
+                                    chain_->ranks(archive_index).end(),
+                                    query.rank);
+  if (in_archive) {
+    if (const auto cached = cache_.get(key, query.rank)) return *cached;
+  }
 
   std::uint64_t encoded_bytes = 0;
   store::Error error;

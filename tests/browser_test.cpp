@@ -9,6 +9,7 @@
 #include "browser/page.h"
 #include "cookies/cookie_jar.h"
 #include "net/set_cookie.h"
+#include "obs/trace.h"
 #include "script/interpreter.h"
 #include "script/rng.h"
 #include "test_support.h"
@@ -336,6 +337,108 @@ TEST(PageTest, ExtensionOverheadSlowsPageLoad) {
   EXPECT_GT(build(true), build(false));
 }
 
+/// Appends every write-path hook it sees to a shared log, in call order;
+/// with `veto` set it refuses every script write.
+struct WriteHookLog final : Extension {
+  WriteHookLog(std::string tag, std::vector<std::string>& log)
+      : tag_(std::move(tag)), log_(log) {}
+  std::string name() const override { return tag_; }
+  bool allow_document_cookie_write(Page&, const script::ExecContext&,
+                                   const webplat::StackTrace&,
+                                   std::string_view cookie_line) override {
+    log_.push_back(tag_ + " allow " + std::string(cookie_line));
+    return !veto;
+  }
+  bool allow_store_write(Page&, const script::ExecContext&,
+                         const webplat::StackTrace&, std::string_view name,
+                         std::string_view value, bool is_delete) override {
+    log_.push_back(tag_ + " allow " + std::string(name) + "=" +
+                   std::string(value) + (is_delete ? " delete" : ""));
+    return !veto;
+  }
+  void on_script_cookie_change(Page&, const script::ExecContext&,
+                               const webplat::StackTrace&,
+                               const cookies::CookieChange& change,
+                               cookies::CookieSource api) override {
+    const auto& cookie = change.current ? change.current : change.previous;
+    log_.push_back(tag_ + (change.current ? " set " : " removed ") +
+                   (cookie ? cookie->name : "-") + " via " +
+                   std::string(cookies::to_string(api)));
+  }
+  void on_write_blocked(Page&, const script::ExecContext&,
+                        const webplat::StackTrace&,
+                        std::string_view cookie_line) override {
+    log_.push_back(tag_ + " blocked " + std::string(cookie_line));
+  }
+  bool veto = false;
+
+ private:
+  std::string tag_;
+  std::vector<std::string>& log_;
+};
+
+/// The write hooks a document.cookie write, a cookieStore set and a
+/// cookieStore delete fire on a page at `url`, the first of two logging
+/// extensions vetoing every write when `veto` is set.
+std::vector<std::string> write_hooks(const char* url, bool veto) {
+  std::vector<std::string> log;
+  WriteHookLog first("first", log);
+  WriteHookLog second("second", log);
+  first.veto = veto;
+  TestSite site;
+  site.browser().add_extension(&first);
+  site.browser().add_extension(&second);
+  auto page = site.browser().navigate(net::Url::must_parse(url));
+  EXPECT_TRUE(page.ok()) << url;
+  if (!page.ok()) return log;
+  const auto ctx = context_for_url("https://cdn.tracker.com/t.js");
+  page->run_as(ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(ctx, "a=1; Path=/");
+    services.cookie_store_set(ctx, "b", "2");
+    services.cookie_store_delete(ctx, "b");
+  });
+  page->loop().run_until_idle();
+  return log;
+}
+
+TEST(PageTest, ScriptWritesFireTheSameHooksWhenAllowedVetoedOrRefused) {
+  const std::string doc(
+      cookies::to_string(cookies::CookieSource::kDocumentCookie));
+  const std::string store(
+      cookies::to_string(cookies::CookieSource::kCookieStore));
+
+  EXPECT_EQ(write_hooks(TestSite::kSiteUrl, /*veto=*/false),
+            (std::vector<std::string>{
+                "first allow a=1; Path=/", "second allow a=1; Path=/",
+                "first set a via " + doc, "second set a via " + doc,
+                "first allow b=2", "second allow b=2",
+                "first set b via " + store, "second set b via " + store,
+                "first allow b= delete", "second allow b= delete",
+                "first removed b via " + store,
+                "second removed b via " + store}));
+
+  // An extension veto stops at the vetoing extension; every extension then
+  // hears the write was blocked.
+  EXPECT_EQ(write_hooks(TestSite::kSiteUrl, /*veto=*/true),
+            (std::vector<std::string>{
+                "first allow a=1; Path=/", "first blocked a=1; Path=/",
+                "second blocked a=1; Path=/", "first allow b=2",
+                "first blocked b=2", "second blocked b=2",
+                "first allow b= delete", "first blocked b=",
+                "second blocked b="}));
+
+  // A page with no registrable domain: the policy refuses every script
+  // write after the extensions allowed it.
+  EXPECT_EQ(write_hooks("https://github.io/", /*veto=*/false),
+            (std::vector<std::string>{
+                "first allow a=1; Path=/", "second allow a=1; Path=/",
+                "first blocked a=1; Path=/", "second blocked a=1; Path=/",
+                "first allow b=2", "second allow b=2", "first blocked b=2",
+                "second blocked b=2", "first allow b= delete",
+                "second allow b= delete", "first blocked b=",
+                "second blocked b="}));
+}
+
 TEST(BrowserTest, VisitStartFiresOncePerBrowser) {
   struct Count : Extension {
     std::string name() const override { return "count"; }
@@ -369,39 +472,53 @@ TEST(BrowserTest, JarPersistsAcrossNavigations) {
 namespace cg::browser {
 namespace {
 
-TEST(FrameIsolationTest, CrossOriginFrameCannotSeeMainJar) {
-  testsupport::TestSite site;
-  auto page = site.open();
-  const auto main_ctx =
-      testsupport::context_for_url("https://www.shop.example/app.js");
-  page->run_as(main_ctx, [&](script::PageServices& services) {
-    services.document_cookie_write(main_ctx, "secret=mainframe123; Path=/");
-  });
+// The engines whose frame cookies go through a cross-site partition the
+// main frame never reads; chips has ChipsFrameStoresOnlyPartitionedCookies.
+constexpr policy::PolicyKind kFrameEngines[] = {
+    policy::PolicyKind::kNone, policy::PolicyKind::kCookieGuard,
+    policy::PolicyKind::kFirstPartyIsolation};
 
-  auto& frame = page->create_subframe(
-      net::Url::must_parse("https://ads.tracker.com/frame.html"));
-  const auto frame_ctx =
-      testsupport::context_for_url("https://ads.tracker.com/ad.js");
-  std::string seen = "unset";
-  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
-    seen = services.document_cookie_read(frame_ctx);
-  });
-  EXPECT_EQ(seen, "");  // SOP: the main frame's jar is unreachable
+TEST(FrameIsolationTest, CrossOriginFrameCannotSeeMainJar) {
+  for (const auto kind : kFrameEngines) {
+    testsupport::TestSite site;
+    site.browser().set_policy(&policy::engine_for(kind));
+    auto page = site.open();
+    const auto main_ctx =
+        testsupport::context_for_url("https://www.shop.example/app.js");
+    page->run_as(main_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(main_ctx, "secret=mainframe123; Path=/");
+    });
+
+    auto& frame = page->create_subframe(
+        net::Url::must_parse("https://ads.tracker.com/frame.html"));
+    const auto frame_ctx =
+        testsupport::context_for_url("https://ads.tracker.com/ad.js");
+    std::string seen = "unset";
+    page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+      seen = services.document_cookie_read(frame_ctx);
+    });
+    // SOP: the main frame's jar is unreachable.
+    EXPECT_EQ(seen, "") << policy::to_string(kind);
+  }
 }
 
 TEST(FrameIsolationTest, CrossOriginFrameCookiesArePartitioned) {
-  testsupport::TestSite site;
-  auto page = site.open();
-  auto& frame = page->create_subframe(
-      net::Url::must_parse("https://ads.tracker.com/frame.html"));
-  const auto frame_ctx =
-      testsupport::context_for_url("https://ads.tracker.com/ad.js");
-  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
-    services.document_cookie_write(frame_ctx, "frame_id=abc123; Path=/");
-    EXPECT_EQ(services.document_cookie_read(frame_ctx), "frame_id=abc123");
-  });
-  // The first-party jar never saw it.
-  EXPECT_EQ(site.browser().jar().size(), 0u);
+  for (const auto kind : kFrameEngines) {
+    testsupport::TestSite site;
+    site.browser().set_policy(&policy::engine_for(kind));
+    auto page = site.open();
+    auto& frame = page->create_subframe(
+        net::Url::must_parse("https://ads.tracker.com/frame.html"));
+    const auto frame_ctx =
+        testsupport::context_for_url("https://ads.tracker.com/ad.js");
+    page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(frame_ctx, "frame_id=abc123; Path=/");
+      EXPECT_EQ(services.document_cookie_read(frame_ctx), "frame_id=abc123")
+          << policy::to_string(kind);
+    });
+    // The first-party jar never saw it.
+    EXPECT_EQ(site.browser().jar().size(), 0u) << policy::to_string(kind);
+  }
 }
 
 TEST(FrameIsolationTest, SameOriginFrameSharesMainJar) {
@@ -435,6 +552,121 @@ TEST(FrameIsolationTest, FrameDomIsSeparate) {
   });
   EXPECT_EQ(frame.document().elements_by_tag("div").size(), 1u);
   EXPECT_TRUE(page->main_frame().document().elements_by_tag("div").empty());
+}
+
+TEST(FrameIsolationTest, SameSiteFrameUsesFirstPartyPartitionByUrlMatch) {
+  // A cross-origin but same-site frame is not cross-site, so it reads and
+  // writes the first-party partition; RFC 6265 URL matching decides which
+  // cookies it sees.
+  testsupport::TestSite site;
+  auto page = site.open();
+  const auto main_ctx =
+      testsupport::context_for_url("https://www.shop.example/app.js");
+  page->run_as(main_ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(main_ctx, "host_only=1; Path=/");
+    services.document_cookie_write(main_ctx,
+                                   "shared=2; Domain=shop.example; Path=/");
+  });
+
+  auto& frame = page->create_subframe(
+      net::Url::must_parse("https://widget.shop.example/w.html"));
+  const auto frame_ctx =
+      testsupport::context_for_url("https://widget.shop.example/w.js");
+  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+    EXPECT_EQ(services.document_cookie_read(frame_ctx), "shared=2");
+    services.document_cookie_write(frame_ctx, "widget=3; Path=/");
+    EXPECT_EQ(services.document_cookie_read(frame_ctx), "shared=2; widget=3");
+  });
+  EXPECT_EQ(site.browser().jar().size(), 3u);
+  EXPECT_EQ(site.browser().policy_stats().partitioned_stores, 0u);
+
+  // The frame's host-only cookie does not match the main frame's URL.
+  page->run_as(main_ctx, [&](script::PageServices& services) {
+    EXPECT_EQ(services.document_cookie_read(main_ctx), "host_only=1; shared=2");
+  });
+}
+
+TEST(FrameIsolationTest, FramePartitionLivesAsLongAsTheBrowser) {
+  // A frame partition belongs to the browser's jar store, as FPI and CHIPS
+  // partitions do: the next page of the same visit embedding the same frame
+  // reads what the first one wrote.
+  testsupport::TestSite site;
+  const auto frame_url =
+      net::Url::must_parse("https://ads.tracker.com/frame.html");
+  const auto frame_ctx =
+      testsupport::context_for_url("https://ads.tracker.com/ad.js");
+  {
+    auto page = site.open();
+    auto& frame = page->create_subframe(frame_url);
+    page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+      services.document_cookie_write(frame_ctx, "frame_id=abc123; Path=/");
+    });
+  }
+  auto page = site.open();
+  auto& frame = page->create_subframe(frame_url);
+  std::string seen;
+  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+    seen = services.document_cookie_read(frame_ctx);
+  });
+  EXPECT_EQ(seen, "frame_id=abc123");
+  const auto* partition = site.browser().jar_store().find(
+      "frame:shop.example https://ads.tracker.com");
+  ASSERT_NE(partition, nullptr);
+  EXPECT_EQ(partition->size(), 1u);
+}
+
+TEST(FrameIsolationTest, FrameStoreCountsAsPartitionedStoreUnderNone) {
+  obs::LocalObs local;
+  local.metrics_enabled = true;
+  const obs::ObsScope bind(&local);
+  testsupport::TestSite site;
+  auto page = site.open();
+  auto& frame = page->create_subframe(
+      net::Url::must_parse("https://ads.tracker.com/frame.html"));
+  const auto frame_ctx =
+      testsupport::context_for_url("https://ads.tracker.com/ad.js");
+  page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
+    services.document_cookie_write(frame_ctx, "frame_id=abc123; Path=/");
+  });
+  EXPECT_EQ(site.browser().policy_stats().partitioned_stores, 1u);
+  EXPECT_EQ(local.metrics.counter("policy.partitioned_stores"), 1);
+  EXPECT_EQ(site.browser().policy_stats().writes_blocked, 0u);
+}
+
+TEST(FrameIsolationTest, SameFrameOriginUnderTwoTopLevelSitesIsTwoPartitions) {
+  // One browser, one frame origin, two embedding sites: the partition key
+  // names the top-level site, so the second embed starts empty.
+  testsupport::TestSite site;
+  const auto frame_url =
+      net::Url::must_parse("https://ads.tracker.com/frame.html");
+  const auto frame_ctx =
+      testsupport::context_for_url("https://ads.tracker.com/ad.js");
+  auto shop = site.open();
+  auto& shop_frame = shop->create_subframe(frame_url);
+  shop->run_in_frame(shop_frame, frame_ctx,
+                     [&](script::PageServices& services) {
+                       services.document_cookie_write(frame_ctx,
+                                                      "uid=shop; Path=/");
+                     });
+
+  auto news = site.browser().navigate(
+      net::Url::must_parse("https://news.example/"));
+  ASSERT_TRUE(news.ok());
+  auto& news_frame = news->create_subframe(frame_url);
+  news->run_in_frame(news_frame, frame_ctx,
+                     [&](script::PageServices& services) {
+                       EXPECT_EQ(services.document_cookie_read(frame_ctx), "");
+                       services.document_cookie_write(frame_ctx,
+                                                      "uid=news; Path=/");
+                       EXPECT_EQ(services.document_cookie_read(frame_ctx),
+                                 "uid=news");
+                     });
+  EXPECT_NE(site.browser().jar_store().find(
+                "frame:shop.example https://ads.tracker.com"),
+            nullptr);
+  EXPECT_NE(site.browser().jar_store().find(
+                "frame:news.example https://ads.tracker.com"),
+            nullptr);
 }
 
 TEST(RequestBlockingTest, VetoedRequestNeverReachesNetworkOrObservers) {

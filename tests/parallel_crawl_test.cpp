@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -72,20 +71,13 @@ TEST(ParallelCrawlTest, PerWorkerGuardsMatchSequentialGuard) {
     analysis::Analyzer analyzer(corpus.entities());
     crawler::CrawlOptions options;
     options.threads = threads;
-    std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
-    const int workers = threads < 1 ? 1 : threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    crawler::PerWorker<cookieguard::CookieGuard> guards(threads);
+    options.extension_factory = guards.factory();
     crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
       analyzer.ingest(log);
     });
     cookieguard::CookieGuard::Stats stats;
-    for (const auto& guard : guards) stats.merge(guard->stats());
+    for (const auto& guard : guards.instances()) stats.merge(guard->stats());
     return std::pair(report::summary_to_json(analyzer, 20).dump(2), stats);
   };
 

@@ -7,7 +7,7 @@
 
 #include <fstream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +48,6 @@ TEST(PolicyKindTest, NamesRoundTripThroughParse) {
     const auto parsed = policy::parse_policy(policy::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
-    EXPECT_EQ(policy::engine_for(kind).kind(), kind);
   }
   EXPECT_FALSE(policy::parse_policy("firefox").has_value());
   EXPECT_FALSE(policy::parse_policy("").has_value());
@@ -62,6 +61,10 @@ TEST(PolicyEngineTest, EnginesAreSharedSingletons) {
         PolicyKind::kFirstPartyIsolation, PolicyKind::kChips}) {
     EXPECT_EQ(&policy::engine_for(kind), &policy::engine_for(kind));
   }
+  // CookieGuard changes the API boundary, not the jar (paper §6): none and
+  // cookieguard get the one single-jar engine.
+  EXPECT_EQ(&policy::engine_for(PolicyKind::kNone),
+            &policy::engine_for(PolicyKind::kCookieGuard));
 }
 
 TEST(PolicyEngineTest, SingleJarBlocksCrossSiteWithoutDefenseCredit) {
@@ -84,7 +87,40 @@ TEST(PolicyEngineTest, SingleJarBlocksCrossSiteWithoutDefenseCredit) {
         ctx_for("shop.example", "https://www.shop.example/", false));
     ASSERT_TRUE(same_site.allowed);
     EXPECT_EQ(same_site.key, cookies::PartitionKey());  // the classic jar
-    EXPECT_EQ(engine.frame_jar_scope(), policy::FrameJarScope::kPage);
+  }
+}
+
+TEST(PolicyEngineTest, SingleJarKeysCrossSiteFrameScriptsByTopLevelSite) {
+  // A script in a cross-site subframe gets a partition keyed by the
+  // top-level site and the frame's origin (SOP, paper §3).
+  const auto& engine = policy::engine_for(PolicyKind::kNone);
+  const auto frame =
+      ctx_for("shop.example", "https://ads.tracker.com/frame.html", true);
+  const auto store = engine.key_for_store(frame);
+  ASSERT_TRUE(store.allowed);
+  EXPECT_EQ(store.key, "frame:shop.example https://ads.tracker.com");
+  const auto read = engine.key_for_read(frame);
+  ASSERT_TRUE(read.allowed);
+  EXPECT_EQ(read.keys, std::vector<cookies::PartitionKey>{store.key});
+
+  // Another top-level site embedding the same frame gets another key.
+  const auto elsewhere = engine.key_for_store(
+      ctx_for("news.example", "https://ads.tracker.com/frame.html", true));
+  ASSERT_TRUE(elsewhere.allowed);
+  EXPECT_NE(elsewhere.key, store.key);
+
+  // The same access over HTTP, or with no named top-level site, is the
+  // baseline's refusal: no partition and no defense credit.
+  for (const auto& refused :
+       {ctx_for("shop.example", "https://ads.tracker.com/frame.html", true,
+                cookies::JarApi::kHttp),
+        ctx_for("", "https://ads.tracker.com/frame.html", true)}) {
+    const auto refused_store = engine.key_for_store(refused);
+    EXPECT_FALSE(refused_store.allowed);
+    EXPECT_FALSE(refused_store.defense_block);
+    const auto refused_read = engine.key_for_read(refused);
+    EXPECT_FALSE(refused_read.allowed);
+    EXPECT_FALSE(refused_read.defense_block);
   }
 }
 
@@ -111,7 +147,6 @@ TEST(PolicyEngineTest, FpiKeysEveryAccessByFirstPartyDomain) {
       ctx_for("shop.example", "https://www.shop.example/", false));
   ASSERT_TRUE(read.allowed);
   EXPECT_EQ(read.keys, std::vector<cookies::PartitionKey>{"fpi:shop.example"});
-  EXPECT_EQ(fpi.frame_jar_scope(), policy::FrameJarScope::kBrowser);
 }
 
 TEST(PolicyEngineTest, FpiMissingAttributeIsFirefoxVerbatimError) {
@@ -319,8 +354,8 @@ TEST(PolicyBrowserTest, ChipsFrameStoresOnlyPartitionedCookies) {
       net::Url::must_parse("https://ads.tracker.com/frame.html"));
   const auto frame_ctx = context_for_url("https://ads.tracker.com/ad.js");
   page->run_in_frame(frame, frame_ctx, [&](script::PageServices& services) {
-    // Unpartitioned third-party write: blocked by CHIPS (under the legacy
-    // model it would have landed in the ephemeral per-page frame jar).
+    // Unpartitioned third-party write: blocked by CHIPS (under `none` it
+    // would land in the frame's own partition).
     services.document_cookie_write(frame_ctx, "uid=3p; Path=/");
     EXPECT_EQ(services.document_cookie_read(frame_ctx), "");
     // The CHIPS-conformant write goes through, keyed by the embedder...
@@ -370,16 +405,10 @@ std::string crawl_summary(const corpus::Corpus& corpus, PolicyKind kind,
   options.threads = threads;
   options.policy = kind;
   options.metrics = metrics;
-  std::vector<std::unique_ptr<cookieguard::CookieGuard>> guards;
+  std::optional<crawler::PerWorker<cookieguard::CookieGuard>> guards;
   if (kind == PolicyKind::kCookieGuard) {
-    const int workers = threads < 1 ? 1 : threads;
-    for (int w = 0; w < workers; ++w) {
-      guards.push_back(std::make_unique<cookieguard::CookieGuard>());
-    }
-    options.extension_factory =
-        [&guards](int worker) -> std::vector<browser::Extension*> {
-      return {guards[static_cast<size_t>(worker)].get()};
-    };
+    guards.emplace(threads);
+    options.extension_factory = guards->factory();
   }
   crawler.crawl(corpus.size(), options, [&](instrument::VisitLog&& log) {
     analyzer.ingest(log);

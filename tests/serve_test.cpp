@@ -751,6 +751,30 @@ TEST(ServerTest, ChainSiteAnswersAreCacheTransparentAndKeyedOnTheNewestWave) {
   EXPECT_EQ(cached->cache().stats().insertions, 20);
 }
 
+TEST(ServerTest, ChainRankInNoWaveNeverReachesTheCache) {
+  // archive_for names the newest wave for every rank in chain mode; a rank
+  // that wave lacks must answer the chain's own error without touching
+  // the answer cache, as it does over plain archives.
+  corpus::Corpus corpus(small_params(20));
+  const auto logs = crawl_logs(corpus);
+  auto wave1 = logs;
+  wave1[1].requests.clear();
+  const auto server =
+      chain_server(pack_chain(wave0_options(corpus), {logs, wave1}));
+  ASSERT_NE(server, nullptr);
+  Query q;
+  q.kind = QueryKind::kSite;
+  q.rank = 99999;
+  const std::string first = server->handle_text(q);
+  EXPECT_EQ(server->handle_text(q), first);
+  EXPECT_NE(first.find("rank 99999 is not in wave 1"), std::string::npos)
+      << first;
+  const auto stats = server->cache().stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.insertions, 0);
+}
+
 TEST(ServerTest, WavesQueryWithoutAChainIsAnErrorAnswer) {
   corpus::Corpus corpus(small_params(10));
   const auto server = server_over(packed_archive(corpus));
