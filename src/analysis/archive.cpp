@@ -23,8 +23,9 @@ struct ChunkFold {
   std::optional<store::Error> error;
 };
 
-/// The one archive fold. Each worker task runs `visit(i, error)` +
-/// fold_visit for the sites of one chunk and merges them in index order;
+/// The one archive fold. Each worker task runs `visit(i, stored_bytes,
+/// error)` + fold_visit (+ `observer`, when set) for the sites of one chunk
+/// and merges them in index order;
 /// the calling thread merges the chunks in index order. By the
 /// SiteSummary::merge contract that equals a site-by-site fold: counts,
 /// maps and sets exactly, and the one floating-point sum
@@ -37,11 +38,14 @@ template <typename VisitFn>
 std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
                                       const entities::EntityMap& entities,
                                       const AnalyzerOptions& options,
-                                      store::Error* error) {
+                                      store::Error* error,
+                                      const SiteObserver& observer,
+                                      int threads) {
   std::atomic<int> first_failure{count};
   SiteSummary merged;
   std::optional<store::Error> failure;
-  runtime::ShardedRunner runner(runtime::ShardOptions{.block_size = 1});
+  runtime::ShardedRunner runner(
+      runtime::ShardOptions{.threads = threads, .block_size = 1});
   const int chunks = (count + kChunkSites - 1) / kChunkSites;
   runner.run<ChunkFold>(
       0, chunks,
@@ -55,7 +59,8 @@ std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
           // the merge stops there before it reaches this cut-short chunk.
           if (index > first_failure.load(std::memory_order_relaxed)) break;
           store::Error site_error;
-          const auto log = visit(index, &site_error);
+          std::uint64_t stored_bytes = 0;
+          const auto log = visit(index, &stored_bytes, &site_error);
           if (!log) {
             int seen = first_failure.load(std::memory_order_relaxed);
             while (index < seen &&
@@ -65,7 +70,9 @@ std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
             out.error = std::move(site_error);
             break;
           }
-          out.summary.merge(fold_visit(entities, options, *log));
+          SiteSummary site = fold_visit(entities, options, *log);
+          if (observer) observer(index, stored_bytes, *log, site);
+          out.summary.merge(std::move(site));
         }
         return out;
       },
@@ -90,22 +97,29 @@ std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
 std::optional<SiteSummary> fold_archive(const store::Reader& reader,
                                         const entities::EntityMap& entities,
                                         const AnalyzerOptions& options,
-                                        store::Error* error) {
+                                        store::Error* error,
+                                        const SiteObserver& observer,
+                                        int threads) {
   // Checked here, not per site: a delta archive with no blocks would
   // otherwise fold to an empty summary.
   if (reader.reject_unresolved_delta(error)) return std::nullopt;
   return fold_sites(
       reader.site_count(),
-      [&reader](int index, store::Error* site_error) {
-        return reader.visit_at(static_cast<std::size_t>(index), site_error);
+      [&reader](int index, std::uint64_t* stored_bytes,
+                store::Error* site_error) {
+        const auto i = static_cast<std::size_t>(index);
+        *stored_bytes = reader.index()[i].length;
+        return reader.visit_at(i, site_error);
       },
-      entities, options, error);
+      entities, options, error, observer, threads);
 }
 
 std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
                                      const entities::EntityMap& entities,
                                      const AnalyzerOptions& options,
-                                     store::Error* error) {
+                                     store::Error* error,
+                                     const SiteObserver& observer,
+                                     int threads) {
   if (wave < 0 || wave >= chain.waves()) {
     if (error != nullptr) {
       *error = {fault::ArchiveFault::kNone, "wave index out of range"};
@@ -115,11 +129,12 @@ std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
   const std::vector<int>& ranks = chain.ranks(wave);
   return fold_sites(
       static_cast<int>(ranks.size()),
-      [&chain, &ranks, wave](int index, store::Error* site_error) {
+      [&chain, &ranks, wave](int index, std::uint64_t* stored_bytes,
+                             store::Error* site_error) {
         return chain.visit(ranks[static_cast<std::size_t>(index)], wave,
-                           site_error);
+                           site_error, stored_bytes);
       },
-      entities, options, error);
+      entities, options, error, observer, threads);
 }
 
 bool analyze_archive(const store::Reader& reader, Analyzer& analyzer,

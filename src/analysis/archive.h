@@ -12,8 +12,15 @@
 // contract they equal a site-by-site fold. A corrupt archive reports the
 // first corrupt block in rank order, with the error the sequential
 // Reader::for_each would give.
+//
+// A caller that needs more of each site than the merged summary (cgserve
+// keeps one answer row per site) passes a SiteObserver: it sees every
+// site's log and single-visit fold on the worker, before the merge, so
+// nothing is decoded or folded a second time.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
 
 #include "analysis/analyzer.h"
@@ -22,14 +29,29 @@
 
 namespace cg::analysis {
 
+/// Per-site hook of fold_archive and fold_wave, called once for each site
+/// that folds: its `index` (footer index position, or position in
+/// chain.ranks(wave)), `stored_bytes` (its footer index length, or the
+/// size of its materialized payload in a chain), its log and its
+/// single-visit fold. Calls run on the fold's workers, concurrently for
+/// different indices, so the observer may write only state owned by
+/// `index`. A fold that fails may have observed any subset of its sites.
+using SiteObserver =
+    std::function<void(int index, std::uint64_t stored_bytes,
+                       const instrument::VisitLog& log,
+                       const SiteSummary& site)>;
+
 /// Folds every site of a full archive into one summary, in rank order.
 /// Empty optional (with `error` naming the taxonomy class) on the first
 /// corrupt block, and up front with kDeltaUnresolved for a delta archive —
-/// even one with no blocks.
+/// even one with no blocks. `threads` <= 0 folds on every hardware thread;
+/// the result and every observed site are the same at any count.
 std::optional<SiteSummary> fold_archive(const store::Reader& reader,
                                         const entities::EntityMap& entities,
                                         const AnalyzerOptions& options,
-                                        store::Error* error = nullptr);
+                                        store::Error* error = nullptr,
+                                        const SiteObserver& observer = {},
+                                        int threads = 0);
 
 /// Same, over one wave of a base + delta chain: every site of `wave` is
 /// materialized through the chain (inherited ranks resolve to earlier
@@ -38,7 +60,9 @@ std::optional<SiteSummary> fold_archive(const store::Reader& reader,
 std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
                                      const entities::EntityMap& entities,
                                      const AnalyzerOptions& options,
-                                     store::Error* error = nullptr);
+                                     store::Error* error = nullptr,
+                                     const SiteObserver& observer = {},
+                                     int threads = 0);
 
 /// fold_archive with `analyzer`'s entity map and options, then apply()s
 /// the result. False on any error fold_archive reports, with `analyzer`

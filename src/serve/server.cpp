@@ -7,7 +7,6 @@
 #include "cookies/cookie.h"
 #include "entities/entity_map.h"
 #include "fault/fault.h"
-#include "store/record_codec.h"
 
 namespace cg::serve {
 namespace {
@@ -32,44 +31,82 @@ report::Json error_json(const Query& query, const std::string& detail) {
 }
 
 /// The `site <rank>` answer: the visit's record counts and its
-/// single-visit fold. A pure function of (rank, archive index, log), which
-/// is what lets the answer cache hold it.
-report::Json site_answer(int rank, int archive_index,
-                         const instrument::VisitLog& log) {
-  const analysis::SiteSummary folded =
-      analysis::fold_visit(entities::EntityMap::builtin(), {}, log);
-  const analysis::Totals& t = folded.totals;
-
+/// single-visit fold, as the open-time fold kept them in `row`. A pure
+/// function of (rank, archive index, row), which is what lets the answer
+/// cache hold it.
+report::Json site_answer(int rank, int archive_index, const SiteRow& row) {
   report::Json out = report::Json::object();
   out["kind"] = "site";
   out["rank"] = rank;
   out["archive"] = archive_index;
-  out["site"] = log.site;
-  out["host"] = log.site_host;
-  out["complete"] = log.complete();
-  out["attempts"] = log.attempts;
-  out["failure"] = std::string(fault::failure_class_name(log.failure));
+  out["site"] = row.site;
+  out["host"] = row.host;
+  out["complete"] = row.complete;
+  out["attempts"] = row.attempts;
+  out["failure"] = std::string(fault::failure_class_name(row.failure));
 
   report::Json records = report::Json::object();
-  records["script_sets"] = static_cast<std::int64_t>(log.script_sets.size());
-  records["http_sets"] = static_cast<std::int64_t>(log.http_sets.size());
-  records["reads"] = static_cast<std::int64_t>(log.reads.size());
-  records["requests"] = static_cast<std::int64_t>(log.requests.size());
-  records["dom_mods"] = static_cast<std::int64_t>(log.dom_mods.size());
-  records["includes"] = static_cast<std::int64_t>(log.includes.size());
+  records["script_sets"] = row.script_sets;
+  records["http_sets"] = row.http_sets;
+  records["reads"] = row.reads;
+  records["requests"] = row.requests;
+  records["dom_mods"] = row.dom_mods;
+  records["includes"] = row.includes;
   out["records"] = std::move(records);
 
   report::Json a = report::Json::object();
-  a["third_party_scripts"] = t.third_party_script_count;
-  a["tp_cookies_set"] = t.tp_cookies_set;
-  a["fp_cookies_set"] = t.fp_cookies_set;
-  a["pairs_set"] = static_cast<std::int64_t>(folded.pairs.size());
-  a["cross_overwrites"] = t.cross_overwrites;
-  a["exfiltrated"] = t.sites_doc_exfil + t.sites_store_exfil > 0;
-  a["overwritten"] = t.sites_doc_overwrite + t.sites_store_overwrite > 0;
-  a["deleted"] = t.sites_doc_delete + t.sites_store_delete > 0;
+  a["third_party_scripts"] = row.third_party_scripts;
+  a["tp_cookies_set"] = row.tp_cookies_set;
+  a["fp_cookies_set"] = row.fp_cookies_set;
+  a["pairs_set"] = row.pairs_set;
+  a["cross_overwrites"] = row.cross_overwrites;
+  a["exfiltrated"] = row.exfiltrated;
+  a["overwritten"] = row.overwritten;
+  a["deleted"] = row.deleted;
   out["analysis"] = std::move(a);
   return out;
+}
+
+/// The row of one site, copied from its log and single-visit fold.
+SiteRow make_row(const instrument::VisitLog& log,
+                 const analysis::SiteSummary& site,
+                 std::uint64_t admission_bytes) {
+  const analysis::Totals& t = site.totals;
+  const auto count = [](const auto& records) {
+    return static_cast<std::int64_t>(records.size());
+  };
+  SiteRow row;
+  row.site = log.site;
+  row.host = log.site_host;
+  row.complete = log.complete();
+  row.attempts = log.attempts;
+  row.failure = log.failure;
+  row.script_sets = count(log.script_sets);
+  row.http_sets = count(log.http_sets);
+  row.reads = count(log.reads);
+  row.requests = count(log.requests);
+  row.dom_mods = count(log.dom_mods);
+  row.includes = count(log.includes);
+  row.third_party_scripts = t.third_party_script_count;
+  row.tp_cookies_set = t.tp_cookies_set;
+  row.fp_cookies_set = t.fp_cookies_set;
+  row.cross_overwrites = t.cross_overwrites;
+  row.pairs_set = count(site.pairs);
+  row.exfiltrated = t.sites_doc_exfil + t.sites_store_exfil > 0;
+  row.overwritten = t.sites_doc_overwrite + t.sites_store_overwrite > 0;
+  row.deleted = t.sites_doc_delete + t.sites_store_delete > 0;
+  row.admission_bytes = admission_bytes;
+  return row;
+}
+
+/// A fold observer that fills `rows` (sized to the fold's site count):
+/// each call writes only its own index's slot.
+analysis::SiteObserver fill_rows(std::vector<SiteRow>& rows) {
+  return [&rows](int index, std::uint64_t stored_bytes,
+                 const instrument::VisitLog& log,
+                 const analysis::SiteSummary& site) {
+    rows[static_cast<std::size_t>(index)] = make_row(log, site, stored_bytes);
+  };
 }
 
 report::Json api_breakdown(const analysis::SiteSummary& s, CookieSource via,
@@ -116,7 +153,7 @@ std::unique_ptr<Server> Server::open(const std::vector<std::string>& paths,
 
 std::unique_ptr<Server> Server::from_readers(
     std::vector<store::Reader> readers, const ServerConfig& config,
-    store::Error* error) {
+    store::Error* error, int fold_threads) {
   std::vector<Archive> archives;
   archives.reserve(readers.size());
   for (auto& reader : readers) {
@@ -128,8 +165,10 @@ std::unique_ptr<Server> Server::from_readers(
   // Precompute the aggregates: one full fold per archive at load time, so
   // no query ever walks an archive. Each fold runs on every hardware
   // thread and merges in rank order (analysis/archive.h); archives merge
-  // in load order.
+  // in load order. The same fold fills each site's row, so no `site`
+  // query decodes or folds.
   const entities::EntityMap& entities = entities::EntityMap::builtin();
+  server->rows_.resize(server->archives_.size());
   const bool chain_mode = std::any_of(
       server->archives_.begin(), server->archives_.end(),
       [](const Archive& a) {
@@ -146,9 +185,15 @@ std::unique_ptr<Server> Server::from_readers(
     server->chain_ = store::WaveChain::link(std::move(readers_in_order),
                                             error);
     if (!server->chain_) return nullptr;
+    const int newest = server->chain_->waves() - 1;
+    std::vector<SiteRow>& rows =
+        server->rows_[static_cast<std::size_t>(newest)];
+    rows.resize(static_cast<std::size_t>(server->chain_->site_count(newest)));
     for (int w = 0; w < server->chain_->waves(); ++w) {
-      auto summary = analysis::fold_wave(*server->chain_, w, entities, {},
-                                         error);
+      auto summary = analysis::fold_wave(
+          *server->chain_, w, entities, {}, error,
+          w == newest ? fill_rows(rows) : analysis::SiteObserver{},
+          fold_threads);
       if (!summary) return nullptr;  // an unresolvable chain must not serve
       server->waves_.push_back(
           WaveInfo{server->chain_->archive(w).wave(), std::move(*summary)});
@@ -156,9 +201,12 @@ std::unique_ptr<Server> Server::from_readers(
     server->aggregate_ = server->waves_.back().summary;
     server->waves_answer_ = server->build_waves();
   } else {
-    for (const Archive& archive : server->archives_) {
-      auto summary =
-          analysis::fold_archive(archive.reader, entities, {}, error);
+    for (std::size_t i = 0; i < server->archives_.size(); ++i) {
+      const store::Reader& reader = server->archives_[i].reader;
+      std::vector<SiteRow>& rows = server->rows_[i];
+      rows.resize(static_cast<std::size_t>(reader.site_count()));
+      auto summary = analysis::fold_archive(reader, entities, {}, error,
+                                            fill_rows(rows), fold_threads);
       if (!summary) return nullptr;  // a corrupt corpus must not serve
       server->aggregate_.merge(std::move(*summary));
     }
@@ -206,63 +254,42 @@ int Server::site_count() const {
   return n;
 }
 
-int Server::archive_for(int rank) const {
-  if (chain_) return chain_->waves() - 1;
+const SiteRow* Server::row_for(int rank, int* archive_index) const {
+  if (chain_) {
+    const int newest = chain_->waves() - 1;
+    *archive_index = newest;
+    const std::vector<int>& ranks = chain_->ranks(newest);
+    const auto it = std::lower_bound(ranks.begin(), ranks.end(), rank);
+    if (it == ranks.end() || *it != rank) return nullptr;
+    return &rows_[static_cast<std::size_t>(newest)]
+                 [static_cast<std::size_t>(it - ranks.begin())];
+  }
   for (std::size_t i = 0; i < archives_.size(); ++i) {
-    if (find_entry(archives_[i].reader.index(), rank) != nullptr) {
-      return static_cast<int>(i);
+    const std::vector<store::IndexEntry>& index = archives_[i].reader.index();
+    if (const store::IndexEntry* entry = find_entry(index, rank)) {
+      *archive_index = static_cast<int>(i);
+      return &rows_[i][static_cast<std::size_t>(entry - index.data())];
     }
   }
-  return -1;
-}
-
-std::optional<instrument::VisitLog> Server::load_site(
-    int rank, int archive_index, std::uint64_t* encoded_bytes,
-    store::Error* error) const {
-  if (chain_) {
-    // Chain mode: the newest wave, materialized through the chain; its
-    // payload size stands in for the encoded block size.
-    const auto payload = chain_->payload_at(rank, archive_index, error);
-    if (!payload) return std::nullopt;
-    *encoded_bytes = payload->size();
-    return store::decode_site_payload(*payload, error);
-  }
-  const store::Reader& reader =
-      archives_[static_cast<std::size_t>(archive_index)].reader;
-  *encoded_bytes = find_entry(reader.index(), rank)->length;
-  return reader.visit(rank, error);
+  *archive_index = -1;
+  return nullptr;
 }
 
 report::Json Server::handle_site(const Query& query) const {
-  const int archive_index = archive_for(query.rank);
-  if (archive_index < 0) {
-    return error_json(query, "rank " + std::to_string(query.rank) +
-                                 " is in no loaded archive");
+  int archive_index = -1;
+  const SiteRow* row = row_for(query.rank, &archive_index);
+  if (row == nullptr) {
+    const std::string rank = "rank " + std::to_string(query.rank);
+    return error_json(
+        query, chain_ ? rank + " is not in wave " +
+                            std::to_string(chain_->archive(archive_index).wave())
+                      : rank + " is in no loaded archive");
   }
   const auto key = static_cast<std::uint32_t>(archive_index);
-  // In chain mode archive_for names the newest wave for any rank; a rank
-  // that wave lacks skips the cache, and load_site answers with the chain's
-  // own error.
-  const bool in_archive =
-      !chain_ || std::binary_search(chain_->ranks(archive_index).begin(),
-                                    chain_->ranks(archive_index).end(),
-                                    query.rank);
-  if (in_archive) {
-    if (const auto cached = cache_.get(key, query.rank)) return *cached;
-  }
-
-  std::uint64_t encoded_bytes = 0;
-  store::Error error;
-  const auto log =
-      load_site(query.rank, archive_index, &encoded_bytes, &error);
-  if (!log) {
-    return error_json(query, error.code == fault::ArchiveFault::kNone
-                                 ? error.detail
-                                 : error.to_string());
-  }
+  if (const auto cached = cache_.get(key, query.rank)) return *cached;
   auto answer = std::make_shared<const report::Json>(
-      site_answer(query.rank, archive_index, *log));
-  cache_.put(key, query.rank, encoded_bytes, answer);
+      site_answer(query.rank, archive_index, *row));
+  cache_.put(key, query.rank, row->admission_bytes, answer);
   return *answer;
 }
 

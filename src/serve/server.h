@@ -3,19 +3,22 @@
 // PR 4 made the archive the product; this makes it a serving tier. open()
 // pays the expensive work once per archive — validate the envelope, fold
 // every site block into a SiteSummary on all hardware threads
-// (analysis::fold_archive, merged in rank order), build the
-// per-entity index, and render the aggregate answers — and every query
-// afterwards is cheap:
+// (analysis::fold_archive, merged in rank order), keep one SiteRow per
+// site from that same fold, build the per-entity index, and render the
+// aggregate answers — and every query afterwards is cheap:
 //
-//   per-site (kSite):  answer cache -> on a miss, footer-index random
-//                      access, one-block decode, single-visit fold and
-//                      render, then the answer is cached. Never a scan.
+//   per-site (kSite):  answer cache -> on a miss, a binary search of the
+//                      footer index (chain mode: the newest wave's rank
+//                      set) and a render of the site's row, then the answer
+//                      is cached. Nothing is decoded or folded; never a
+//                      scan.
 //   aggregates:        table1/totals return answers rendered at load;
 //                      top-N queries slice full precomputed rankings.
 //                      Never a walk, never a re-fold, never a pair-map scan.
 //
-// handle() is const and thread-safe: archives, summaries, and the entity
-// index are immutable after open(); the answer cache locks per shard; query
+// handle() is const and thread-safe: archives, rows, summaries, and the
+// entity index are immutable after open(); the answer cache locks per
+// shard; query
 // counters are atomics. Answers are rendered to report::Json with sorted
 // keys, so the response to a given query is byte-identical regardless of
 // thread count, interleaving, or cache state — the property
@@ -35,7 +38,8 @@
 // into its own per-wave summary; the `waves` query serves the resulting
 // trend table (optionally filtered to one domain's stats), the regular
 // aggregate queries answer over the *newest* wave (the current web, not a
-// double-counted union), and kSite lookups materialize through the chain.
+// double-counted union), and kSite lookups read the rows the newest wave's
+// fold kept.
 #pragma once
 
 #include <array>
@@ -48,7 +52,7 @@
 #include <vector>
 
 #include "analysis/fold.h"
-#include "instrument/records.h"
+#include "fault/fault.h"
 #include "report/json.h"
 #include "serve/cache.h"
 #include "serve/query.h"
@@ -73,6 +77,33 @@ struct EntityAggregate {
   long long delete_site_events = 0;
 };
 
+/// What a `site <rank>` answer reads of one site, copied from the
+/// open-time fold: the log's identity and record counts, its
+/// single-visit fold, and the size the answer cache admits it by (the
+/// footer index length; chain mode: the materialized payload size).
+struct SiteRow {
+  std::string site;
+  std::string host;
+  bool complete = false;
+  int attempts = 0;
+  fault::FailureClass failure = fault::FailureClass::kNone;
+  std::int64_t script_sets = 0;
+  std::int64_t http_sets = 0;
+  std::int64_t reads = 0;
+  std::int64_t requests = 0;
+  std::int64_t dom_mods = 0;
+  std::int64_t includes = 0;
+  std::int64_t third_party_scripts = 0;
+  std::int64_t tp_cookies_set = 0;
+  std::int64_t fp_cookies_set = 0;
+  std::int64_t cross_overwrites = 0;
+  std::int64_t pairs_set = 0;
+  bool exfiltrated = false;
+  bool overwritten = false;
+  bool deleted = false;
+  std::uint64_t admission_bytes = 0;
+};
+
 class Server {
  public:
   /// Opens and indexes the archives at `paths`. Null (with `error` naming
@@ -84,10 +115,11 @@ class Server {
                                       store::Error* error = nullptr);
 
   /// Same, over already-validated readers (tests, benches packing
-  /// in-memory archives).
+  /// in-memory archives). `fold_threads` <= 0 folds on every hardware
+  /// thread; the server answers the same at any count.
   static std::unique_ptr<Server> from_readers(
       std::vector<store::Reader> readers, const ServerConfig& config,
-      store::Error* error = nullptr);
+      store::Error* error = nullptr, int fold_threads = 0);
 
   int archive_count() const { return static_cast<int>(archives_.size()); }
   int site_count() const;
@@ -101,8 +133,9 @@ class Server {
   /// mode: the newest wave's aggregate).
   const analysis::SiteSummary& aggregate() const { return aggregate_; }
 
-  /// Answers one query. Always returns a JSON object; failures (unknown
-  /// rank, corrupt block) come back as {"error": ..., "kind": ...} so the
+  /// Answers one query. Always returns a JSON object; failures (a rank in
+  /// no loaded archive, or in chain mode not in the newest wave; a waves
+  /// query without a chain) come back as {"error": ..., "kind": ...} so the
   /// line protocol never goes silent. Thread-safe.
   report::Json handle(const Query& query) const;
 
@@ -137,21 +170,18 @@ class Server {
   report::Json build_totals() const;
   report::Json build_waves() const;
 
-  /// The archive a `site <rank>` answer comes from, and the archive half of
-  /// its cache key: the first loaded archive holding the rank, the newest
-  /// wave's in chain mode. -1 when no archive holds it (not in chain mode,
-  /// where the chain reports a missing rank itself).
-  int archive_for(int rank) const;
-
-  /// Decodes `rank` from `archive_index` (chain mode: materialized through
-  /// the chain), uncached: the answer cache sits in handle_site, in front of
-  /// this. `encoded_bytes` receives the size the cache admits by. Empty +
-  /// error when the rank is not in the archive or its block is corrupt.
-  std::optional<instrument::VisitLog> load_site(int rank, int archive_index,
-                                                std::uint64_t* encoded_bytes,
-                                                store::Error* error) const;
+  /// The row a `site <rank>` answer renders, or null when no archive holds
+  /// the rank (chain mode: when the newest wave lacks it).
+  /// `archive_index` receives the archive the row comes from, the archive
+  /// half of its cache key: the first loaded archive holding the rank, the
+  /// newest wave's in chain mode.
+  const SiteRow* row_for(int rank, int* archive_index) const;
 
   std::vector<Archive> archives_;
+  /// One row per site, parallel to each archive's footer index; in chain
+  /// mode only the newest wave's vector is filled, parallel to
+  /// chain_->ranks(newest).
+  std::vector<std::vector<SiteRow>> rows_;
   /// Chain mode: the validated base+delta chain over archives_ (borrows
   /// their readers; archives_ never reallocates after construction) and
   /// one folded summary per wave, oldest first.

@@ -166,10 +166,11 @@ std::optional<std::string> WaveChain::payload_at(int rank, int wave,
   return apply_delta_payload(*payload, base_payload, error);
 }
 
-std::optional<instrument::VisitLog> WaveChain::visit(int rank, int wave,
-                                                     Error* error) const {
+std::optional<instrument::VisitLog> WaveChain::visit(
+    int rank, int wave, Error* error, std::uint64_t* payload_bytes) const {
   const auto payload = payload_at(rank, wave, error);
   if (!payload) return std::nullopt;
+  if (payload_bytes != nullptr) *payload_bytes = payload->size();
   auto log = decode_site_payload(*payload, error);
   if (log && log->rank != rank) {
     set_error(error, fault::ArchiveFault::kCorruptIndex,

@@ -17,6 +17,7 @@
 // per-site state, so it is safe to share across threads.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -54,9 +55,11 @@ class WaveChain {
   std::optional<std::string> payload_at(int rank, int wave,
                                         Error* error = nullptr) const;
 
-  /// Materialized visit log of `rank` at `wave`.
-  std::optional<instrument::VisitLog> visit(int rank, int wave,
-                                            Error* error = nullptr) const;
+  /// Materialized visit log of `rank` at `wave`. `payload_bytes`, when
+  /// set, receives the size of the payload it was decoded from.
+  std::optional<instrument::VisitLog> visit(
+      int rank, int wave, Error* error = nullptr,
+      std::uint64_t* payload_bytes = nullptr) const;
 
   /// Streams every site of `wave` in rank order. Stops and returns false
   /// on the first unresolvable site.

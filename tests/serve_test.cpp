@@ -1,9 +1,15 @@
 // Serving-tier tests: zipfian workload determinism and shape, answer
 // cache admission/eviction/stats semantics, the query line protocol, and
-// Server answers — aggregate == batch fold, per-site == random access,
-// and N-thread == 1-thread byte-identity.
+// Server answers — aggregate == batch fold, per-site rows == a fresh
+// decode and fold, the 120-site answer pin, and N-thread == 1-thread
+// byte-identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,14 +18,18 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
+#include "analysis/fold.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
+#include "crypto/crc32c.h"
 #include "entities/entity_map.h"
+#include "fault/fault.h"
 #include "report/report.h"
 #include "serve/cache.h"
 #include "serve/query.h"
 #include "serve/server.h"
 #include "serve/workload.h"
+#include "store/chain.h"
 #include "store/delta_codec.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -795,6 +805,312 @@ TEST(ServerTest, RejectsCorruptArchive) {
   readers.push_back(std::move(*reader));
   EXPECT_EQ(Server::from_readers(std::move(readers), {}, &error), nullptr);
   EXPECT_FALSE(error.ok());
+}
+
+
+// ---- site rows ------------------------------------------------------------
+
+/// Lines of `path` under tests/golden/.
+std::vector<std::string> golden_lines(const std::string& name) {
+  std::ifstream in(std::string(CG_SOURCE_ROOT "/tests/golden/") + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ServerTest, SiteAnswersMatchTheGoldenPin) {
+  // tests/golden/serve120_sites.jsonl pins `site 1` ... `site 122` over the
+  // default-seed 120-site pack (ranks 121 and 122 are in no archive), then
+  // `stats`, served with a 16-entry cache so that entries are evicted.
+  corpus::Corpus corpus(small_params(120));
+  const std::string archive = packed_archive(corpus);
+  char crc[64];
+  std::snprintf(crc, sizeof crc, "crc32c %08x", crypto::crc32c(archive));
+  ASSERT_EQ(golden_lines("pack120_crc.txt").front(), crc);
+
+  ServerConfig config;
+  config.cache.max_entries = 16;
+  const auto server = server_over(archive, config);
+  ASSERT_NE(server, nullptr);
+  std::vector<std::string> answers;
+  Query q;
+  q.kind = QueryKind::kSite;
+  for (q.rank = 1; q.rank <= 122; ++q.rank) {
+    answers.push_back(server->handle_text(q));
+  }
+  Query stats;
+  stats.kind = QueryKind::kStats;
+  answers.push_back(server->handle_text(stats));
+
+  const auto golden = golden_lines("serve120_sites.jsonl");
+  ASSERT_EQ(golden.size(), answers.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(answers[i], golden[i]) << "line " << i + 1;
+  }
+}
+
+/// One input of the site-row differential test: archive images in load
+/// order, and whether they form a wave chain.
+struct RowInput {
+  std::string name;
+  std::vector<std::string> images;
+  bool chain = false;
+};
+
+/// What a fresh decode and fold says a `site <rank>` answer holds.
+struct FreshSite {
+  int archive = -1;
+  std::uint64_t admission_bytes = 0;
+  std::optional<instrument::VisitLog> log;
+  std::string error;  // when no archive holds the rank
+};
+
+/// The oracle: the first archive holding `rank` (chain mode: the newest
+/// wave), decoded by Reader::visit or WaveChain::visit.
+FreshSite fresh_site(const std::vector<store::Reader>& readers,
+                     const std::optional<store::WaveChain>& chain, int rank) {
+  FreshSite out;
+  store::Error error;
+  if (chain) {
+    out.archive = chain->waves() - 1;
+    if (const auto payload = chain->payload_at(rank, out.archive)) {
+      out.admission_bytes = payload->size();
+    }
+    out.log = chain->visit(rank, out.archive, &error);
+    if (!out.log) out.error = error.detail;
+    return out;
+  }
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    out.log = readers[i].visit(rank, &error);
+    if (!out.log) continue;
+    out.archive = static_cast<int>(i);
+    for (const store::IndexEntry& entry : readers[i].index()) {
+      if (entry.rank == rank) out.admission_bytes = entry.length;
+    }
+    return out;
+  }
+  out.error = "rank " + std::to_string(rank) + " is in no loaded archive";
+  return out;
+}
+
+/// Checks every field of a `site` answer against the fresh decode + fold.
+void expect_answer_equals(const report::Json& answer, int rank,
+                          const FreshSite& fresh) {
+  SCOPED_TRACE("rank " + std::to_string(rank));
+  if (!fresh.log) {
+    ASSERT_NE(answer.find("error"), nullptr);
+    EXPECT_EQ(answer.find("error")->as_string(), fresh.error);
+    EXPECT_EQ(answer.find("kind")->as_string(), "site");
+    EXPECT_EQ(answer.size(), 2u);
+    return;
+  }
+  const instrument::VisitLog& log = *fresh.log;
+  const analysis::SiteSummary folded =
+      analysis::fold_visit(entities::EntityMap::builtin(), {}, log);
+  const analysis::Totals& t = folded.totals;
+  ASSERT_EQ(answer.find("error"), nullptr);
+  EXPECT_EQ(answer.find("kind")->as_string(), "site");
+  EXPECT_EQ(answer.find("rank")->as_int(), rank);
+  EXPECT_EQ(answer.find("archive")->as_int(), fresh.archive);
+  EXPECT_EQ(answer.find("site")->as_string(), log.site);
+  EXPECT_EQ(answer.find("host")->as_string(), log.site_host);
+  EXPECT_EQ(answer.find("complete")->as_bool(), log.complete());
+  EXPECT_EQ(answer.find("attempts")->as_int(), log.attempts);
+  EXPECT_EQ(answer.find("failure")->as_string(),
+            fault::failure_class_name(log.failure));
+  const report::Json& records = *answer.find("records");
+  const auto size = [](const auto& channel) {
+    return static_cast<std::int64_t>(channel.size());
+  };
+  EXPECT_EQ(records.find("script_sets")->as_int(), size(log.script_sets));
+  EXPECT_EQ(records.find("http_sets")->as_int(), size(log.http_sets));
+  EXPECT_EQ(records.find("reads")->as_int(), size(log.reads));
+  EXPECT_EQ(records.find("requests")->as_int(), size(log.requests));
+  EXPECT_EQ(records.find("dom_mods")->as_int(), size(log.dom_mods));
+  EXPECT_EQ(records.find("includes")->as_int(), size(log.includes));
+  const report::Json& a = *answer.find("analysis");
+  EXPECT_EQ(a.find("third_party_scripts")->as_int(),
+            t.third_party_script_count);
+  EXPECT_EQ(a.find("tp_cookies_set")->as_int(), t.tp_cookies_set);
+  EXPECT_EQ(a.find("fp_cookies_set")->as_int(), t.fp_cookies_set);
+  EXPECT_EQ(a.find("pairs_set")->as_int(), size(folded.pairs));
+  EXPECT_EQ(a.find("cross_overwrites")->as_int(), t.cross_overwrites);
+  EXPECT_EQ(a.find("exfiltrated")->as_bool(),
+            t.sites_doc_exfil + t.sites_store_exfil > 0);
+  EXPECT_EQ(a.find("overwritten")->as_bool(),
+            t.sites_doc_overwrite + t.sites_store_overwrite > 0);
+  EXPECT_EQ(a.find("deleted")->as_bool(),
+            t.sites_doc_delete + t.sites_store_delete > 0);
+  EXPECT_EQ(answer.size(), 10u);
+  EXPECT_EQ(records.size(), 6u);
+  EXPECT_EQ(a.size(), 8u);
+}
+
+struct CacheCounts {
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+  std::int64_t insertions = 0;
+  std::int64_t evictions = 0;
+  std::int64_t rejected_admission = 0;
+  std::int64_t entries = 0;
+};
+
+std::string to_string(const CacheCounts& c) {
+  return "{" + std::to_string(c.hits) + ", " + std::to_string(c.misses) +
+         ", " + std::to_string(c.insertions) + ", " +
+         std::to_string(c.evictions) + ", " +
+         std::to_string(c.rejected_admission) + ", " +
+         std::to_string(c.entries) + "}";
+}
+
+TEST(ServerTest, SiteRowsEqualAFreshDecodeAndFold) {
+  corpus::Corpus corpus(small_params(300));
+  const auto logs = crawl_logs(corpus);
+  ASSERT_EQ(logs.size(), 300u);
+  const store::WriterOptions options = wave0_options(corpus);
+  const auto pack = [&](const std::vector<instrument::VisitLog>& wave) {
+    std::ostringstream sink;
+    store::Writer writer(&sink, options);
+    for (const auto& log : wave) writer.add(log);
+    EXPECT_TRUE(writer.finish());
+    return sink.str();
+  };
+
+  // Two archives over ranks 1-200 and 101-300; the second's copies of
+  // 101-200 differ, so an answer from the wrong archive shows.
+  std::vector<instrument::VisitLog> first(logs.begin(), logs.begin() + 200);
+  std::vector<instrument::VisitLog> second(logs.begin() + 100, logs.end());
+  for (auto& log : second) log.requests.clear();
+
+  // Three waves: every 7th site loses its requests in wave 1, every 11th
+  // its script cookie writes in wave 2, and wave 2 drops ranks 5 and 6.
+  auto wave1 = logs;
+  for (std::size_t i = 0; i < wave1.size(); i += 7) wave1[i].requests.clear();
+  std::vector<instrument::VisitLog> wave2;
+  for (std::size_t i = 0; i < wave1.size(); ++i) {
+    if (wave1[i].rank == 5 || wave1[i].rank == 6) continue;
+    wave2.push_back(wave1[i]);
+    if (i % 11 == 0) wave2.back().script_sets.clear();
+  }
+
+  const std::vector<RowInput> inputs = {
+      {"one archive", {pack(logs)}, false},
+      {"two archives", {pack(first), pack(second)}, false},
+      {"three waves", pack_chain(options, {logs, wave1, wave2}), true},
+  };
+  // The cache counters after the query sequence below, per input and
+  // cache configuration (0, 16 and 4,096 entries, then 4,096 entries with
+  // max_block_bytes below the median admission size), as the server gave
+  // them when it decoded and folded every miss.
+  // {hits, misses, insertions, evictions, rejected_admission, entries}.
+  const CacheCounts expected[3][4] = {
+      {{0, 600, 0, 0, 600, 0},
+       {16, 584, 584, 568, 0, 16},
+       {300, 300, 300, 0, 0, 300},
+       {150, 450, 150, 0, 300, 150}},
+      {{0, 600, 0, 0, 600, 0},
+       {16, 584, 584, 568, 0, 16},
+       {300, 300, 300, 0, 0, 300},
+       {150, 450, 150, 0, 300, 150}},
+      {{0, 596, 0, 0, 596, 0},
+       {16, 580, 580, 564, 0, 16},
+       {298, 298, 298, 0, 0, 298},
+       {149, 447, 149, 0, 298, 149}},
+  };
+
+  for (std::size_t input = 0; input < inputs.size(); ++input) {
+    const RowInput& in = inputs[input];
+    SCOPED_TRACE(in.name);
+    ASSERT_FALSE(in.images.empty());
+    std::vector<store::Reader> oracle_readers;
+    store::Error error;
+    for (const std::string& image : in.images) {
+      auto reader = store::Reader::from_buffer(image, &error);
+      ASSERT_TRUE(reader.has_value()) << error.to_string();
+      oracle_readers.push_back(std::move(*reader));
+    }
+    std::optional<store::WaveChain> chain;
+    if (in.chain) {
+      std::vector<const store::Reader*> order;
+      for (const auto& reader : oracle_readers) order.push_back(&reader);
+      chain = store::WaveChain::link(std::move(order), &error);
+      ASSERT_TRUE(chain.has_value()) << error.to_string();
+    }
+
+    // Every rank, plus one below and two above the corpus.
+    std::vector<int> ranks;
+    for (int rank = 0; rank <= 302; ++rank) ranks.push_back(rank);
+    std::map<int, FreshSite> fresh;
+    std::vector<std::uint64_t> sizes;
+    for (const int rank : ranks) {
+      fresh[rank] = fresh_site(oracle_readers, chain, rank);
+      if (fresh[rank].log) sizes.push_back(fresh[rank].admission_bytes);
+    }
+    std::sort(sizes.begin(), sizes.end());
+    const std::uint64_t median = sizes[sizes.size() / 2];
+
+    std::vector<CacheConfig> configs(4);
+    configs[0].max_entries = 0;
+    configs[1].max_entries = 16;
+    configs[2].max_entries = 4096;
+    configs[3].max_entries = 4096;
+    configs[3].max_block_bytes = median - 1;
+
+    for (const int threads : {1, 4}) {
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", config " +
+                     std::to_string(c));
+        std::vector<store::Reader> readers;
+        for (const std::string& image : in.images) {
+          readers.push_back(*store::Reader::from_buffer(image));
+        }
+        ServerConfig config;
+        config.cache = configs[c];
+        const auto server = Server::from_readers(std::move(readers), config,
+                                                 &error, threads);
+        ASSERT_NE(server, nullptr) << error.to_string();
+        ASSERT_EQ(server->chain_mode(), in.chain);
+
+        // Ascending (all misses), then descending (hits where the cache
+        // kept the answer).
+        Query q;
+        q.kind = QueryKind::kSite;
+        for (const int rank : ranks) {
+          q.rank = rank;
+          expect_answer_equals(server->handle(q), rank, fresh[rank]);
+        }
+        if (c >= 2) {  // nothing evicted: admission alone decides
+          for (const int rank : ranks) {
+            const FreshSite& site = fresh[rank];
+            if (!site.log) continue;
+            EXPECT_EQ(server->cache().contains(
+                          static_cast<std::uint32_t>(site.archive), rank),
+                      site.admission_bytes <= configs[c].max_block_bytes)
+                << "rank " << rank;
+          }
+        }
+        for (auto it = ranks.rbegin(); it != ranks.rend(); ++it) {
+          q.rank = *it;
+          expect_answer_equals(server->handle(q), *it, fresh[*it]);
+        }
+
+        const AnswerCache::Stats s = server->cache().stats();
+        const CacheCounts got{s.hits,      s.misses,
+                              s.insertions, s.evictions,
+                              s.rejected_admission, s.entries};
+        const CacheCounts& want = expected[input][c];
+        EXPECT_EQ(to_string(got), to_string(want))
+            << "input " << input << " config " << c;
+        const auto stats = server->stats_json();
+        const report::Json& cache = *stats.find("cache");
+        EXPECT_EQ(cache.find("hits")->as_int(), got.hits);
+        EXPECT_EQ(cache.find("misses")->as_int(), got.misses);
+        EXPECT_EQ(cache.find("rejected_admission")->as_int(),
+                  got.rejected_admission);
+      }
+    }
+  }
 }
 
 }  // namespace
