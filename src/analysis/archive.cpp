@@ -39,13 +39,11 @@ std::optional<SiteSummary> fold_sites(int count, const VisitFn& visit,
                                       const entities::EntityMap& entities,
                                       const AnalyzerOptions& options,
                                       store::Error* error,
-                                      const SiteObserver& observer,
-                                      int threads) {
+                                      const SiteObserver& observer) {
   std::atomic<int> first_failure{count};
   SiteSummary merged;
   std::optional<store::Error> failure;
-  runtime::ShardedRunner runner(
-      runtime::ShardOptions{.threads = threads, .block_size = 1});
+  runtime::ShardedRunner runner(runtime::ShardOptions{.block_size = 1});
   const int chunks = (count + kChunkSites - 1) / kChunkSites;
   runner.run<ChunkFold>(
       0, chunks,
@@ -98,8 +96,7 @@ std::optional<SiteSummary> fold_archive(const store::Reader& reader,
                                         const entities::EntityMap& entities,
                                         const AnalyzerOptions& options,
                                         store::Error* error,
-                                        const SiteObserver& observer,
-                                        int threads) {
+                                        const SiteObserver& observer) {
   // Checked here, not per site: a delta archive with no blocks would
   // otherwise fold to an empty summary.
   if (reader.reject_unresolved_delta(error)) return std::nullopt;
@@ -111,15 +108,14 @@ std::optional<SiteSummary> fold_archive(const store::Reader& reader,
         *stored_bytes = reader.index()[i].length;
         return reader.visit_at(i, site_error);
       },
-      entities, options, error, observer, threads);
+      entities, options, error, observer);
 }
 
 std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
                                      const entities::EntityMap& entities,
                                      const AnalyzerOptions& options,
                                      store::Error* error,
-                                     const SiteObserver& observer,
-                                     int threads) {
+                                     const SiteObserver& observer) {
   if (wave < 0 || wave >= chain.waves()) {
     if (error != nullptr) {
       *error = {fault::ArchiveFault::kNone, "wave index out of range"};
@@ -134,7 +130,7 @@ std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
         return chain.visit(ranks[static_cast<std::size_t>(index)], wave,
                            site_error, stored_bytes);
       },
-      entities, options, error, observer, threads);
+      entities, options, error, observer);
 }
 
 bool analyze_archive(const store::Reader& reader, Analyzer& analyzer,

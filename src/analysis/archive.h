@@ -44,14 +44,12 @@ using SiteObserver =
 /// Folds every site of a full archive into one summary, in rank order.
 /// Empty optional (with `error` naming the taxonomy class) on the first
 /// corrupt block, and up front with kDeltaUnresolved for a delta archive —
-/// even one with no blocks. `threads` <= 0 folds on every hardware thread;
-/// the result and every observed site are the same at any count.
+/// even one with no blocks.
 std::optional<SiteSummary> fold_archive(const store::Reader& reader,
                                         const entities::EntityMap& entities,
                                         const AnalyzerOptions& options,
                                         store::Error* error = nullptr,
-                                        const SiteObserver& observer = {},
-                                        int threads = 0);
+                                        const SiteObserver& observer = {});
 
 /// Same, over one wave of a base + delta chain: every site of `wave` is
 /// materialized through the chain (inherited ranks resolve to earlier
@@ -61,8 +59,7 @@ std::optional<SiteSummary> fold_wave(const store::WaveChain& chain, int wave,
                                      const entities::EntityMap& entities,
                                      const AnalyzerOptions& options,
                                      store::Error* error = nullptr,
-                                     const SiteObserver& observer = {},
-                                     int threads = 0);
+                                     const SiteObserver& observer = {});
 
 /// fold_archive with `analyzer`'s entity map and options, then apply()s
 /// the result. False on any error fold_archive reports, with `analyzer`

@@ -153,7 +153,7 @@ std::unique_ptr<Server> Server::open(const std::vector<std::string>& paths,
 
 std::unique_ptr<Server> Server::from_readers(
     std::vector<store::Reader> readers, const ServerConfig& config,
-    store::Error* error, int fold_threads) {
+    store::Error* error) {
   std::vector<Archive> archives;
   archives.reserve(readers.size());
   for (auto& reader : readers) {
@@ -192,8 +192,7 @@ std::unique_ptr<Server> Server::from_readers(
     for (int w = 0; w < server->chain_->waves(); ++w) {
       auto summary = analysis::fold_wave(
           *server->chain_, w, entities, {}, error,
-          w == newest ? fill_rows(rows) : analysis::SiteObserver{},
-          fold_threads);
+          w == newest ? fill_rows(rows) : analysis::SiteObserver{});
       if (!summary) return nullptr;  // an unresolvable chain must not serve
       server->waves_.push_back(
           WaveInfo{server->chain_->archive(w).wave(), std::move(*summary)});
@@ -205,8 +204,8 @@ std::unique_ptr<Server> Server::from_readers(
       const store::Reader& reader = server->archives_[i].reader;
       std::vector<SiteRow>& rows = server->rows_[i];
       rows.resize(static_cast<std::size_t>(reader.site_count()));
-      auto summary = analysis::fold_archive(reader, entities, {}, error,
-                                            fill_rows(rows), fold_threads);
+      auto summary =
+          analysis::fold_archive(reader, entities, {}, error, fill_rows(rows));
       if (!summary) return nullptr;  // a corrupt corpus must not serve
       server->aggregate_.merge(std::move(*summary));
     }
@@ -279,11 +278,11 @@ report::Json Server::handle_site(const Query& query) const {
   int archive_index = -1;
   const SiteRow* row = row_for(query.rank, &archive_index);
   if (row == nullptr) {
-    const std::string rank = "rank " + std::to_string(query.rank);
     return error_json(
-        query, chain_ ? rank + " is not in wave " +
-                            std::to_string(chain_->archive(archive_index).wave())
-                      : rank + " is in no loaded archive");
+        query, chain_ ? store::WaveChain::missing_rank_error(
+                            query.rank, chain_->archive(archive_index).wave())
+                      : "rank " + std::to_string(query.rank) +
+                            " is in no loaded archive");
   }
   const auto key = static_cast<std::uint32_t>(archive_index);
   if (const auto cached = cache_.get(key, query.rank)) return *cached;

@@ -115,11 +115,10 @@ class Server {
                                       store::Error* error = nullptr);
 
   /// Same, over already-validated readers (tests, benches packing
-  /// in-memory archives). `fold_threads` <= 0 folds on every hardware
-  /// thread; the server answers the same at any count.
+  /// in-memory archives).
   static std::unique_ptr<Server> from_readers(
       std::vector<store::Reader> readers, const ServerConfig& config,
-      store::Error* error = nullptr, int fold_threads = 0);
+      store::Error* error = nullptr);
 
   int archive_count() const { return static_cast<int>(archives_.size()); }
   int site_count() const;

@@ -113,6 +113,12 @@ std::optional<WaveChain> WaveChain::link(std::vector<const Reader*> archives,
   return chain;
 }
 
+std::string WaveChain::missing_rank_error(int rank,
+                                         std::uint32_t wave_number) {
+  return "rank " + std::to_string(rank) + " is not in wave " +
+         std::to_string(wave_number);
+}
+
 std::optional<std::string> WaveChain::payload_at(int rank, int wave,
                                                  Error* error) const {
   if (wave < 0 || wave >= waves()) {
@@ -133,8 +139,7 @@ std::optional<std::string> WaveChain::payload_at(int rank, int wave,
       return payload_at(rank, wave - 1, error);
     }
     set_error(error, fault::ArchiveFault::kNone,
-              "rank " + std::to_string(rank) + " is not in wave " +
-                  std::to_string(a.wave()));
+              missing_rank_error(rank, a.wave()));
     return std::nullopt;
   }
   if (a.kind() == ArchiveKind::kFull) {

@@ -55,6 +55,10 @@ class WaveChain {
   std::optional<std::string> payload_at(int rank, int wave,
                                         Error* error = nullptr) const;
 
+  /// The error text payload_at gives for a rank that is not in the wave
+  /// whose archive records `wave_number` (Reader::wave()).
+  static std::string missing_rank_error(int rank, std::uint32_t wave_number);
+
   /// Materialized visit log of `rank` at `wave`. `payload_bytes`, when
   /// set, receives the size of the payload it was decoded from.
   std::optional<instrument::VisitLog> visit(

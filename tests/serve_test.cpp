@@ -1057,58 +1057,55 @@ TEST(ServerTest, SiteRowsEqualAFreshDecodeAndFold) {
     configs[3].max_entries = 4096;
     configs[3].max_block_bytes = median - 1;
 
-    for (const int threads : {1, 4}) {
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        SCOPED_TRACE("threads " + std::to_string(threads) + ", config " +
-                     std::to_string(c));
-        std::vector<store::Reader> readers;
-        for (const std::string& image : in.images) {
-          readers.push_back(*store::Reader::from_buffer(image));
-        }
-        ServerConfig config;
-        config.cache = configs[c];
-        const auto server = Server::from_readers(std::move(readers), config,
-                                                 &error, threads);
-        ASSERT_NE(server, nullptr) << error.to_string();
-        ASSERT_EQ(server->chain_mode(), in.chain);
-
-        // Ascending (all misses), then descending (hits where the cache
-        // kept the answer).
-        Query q;
-        q.kind = QueryKind::kSite;
-        for (const int rank : ranks) {
-          q.rank = rank;
-          expect_answer_equals(server->handle(q), rank, fresh[rank]);
-        }
-        if (c >= 2) {  // nothing evicted: admission alone decides
-          for (const int rank : ranks) {
-            const FreshSite& site = fresh[rank];
-            if (!site.log) continue;
-            EXPECT_EQ(server->cache().contains(
-                          static_cast<std::uint32_t>(site.archive), rank),
-                      site.admission_bytes <= configs[c].max_block_bytes)
-                << "rank " << rank;
-          }
-        }
-        for (auto it = ranks.rbegin(); it != ranks.rend(); ++it) {
-          q.rank = *it;
-          expect_answer_equals(server->handle(q), *it, fresh[*it]);
-        }
-
-        const AnswerCache::Stats s = server->cache().stats();
-        const CacheCounts got{s.hits,      s.misses,
-                              s.insertions, s.evictions,
-                              s.rejected_admission, s.entries};
-        const CacheCounts& want = expected[input][c];
-        EXPECT_EQ(to_string(got), to_string(want))
-            << "input " << input << " config " << c;
-        const auto stats = server->stats_json();
-        const report::Json& cache = *stats.find("cache");
-        EXPECT_EQ(cache.find("hits")->as_int(), got.hits);
-        EXPECT_EQ(cache.find("misses")->as_int(), got.misses);
-        EXPECT_EQ(cache.find("rejected_admission")->as_int(),
-                  got.rejected_admission);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE("config " + std::to_string(c));
+      std::vector<store::Reader> readers;
+      for (const std::string& image : in.images) {
+        readers.push_back(*store::Reader::from_buffer(image));
       }
+      ServerConfig config;
+      config.cache = configs[c];
+      const auto server =
+          Server::from_readers(std::move(readers), config, &error);
+      ASSERT_NE(server, nullptr) << error.to_string();
+      ASSERT_EQ(server->chain_mode(), in.chain);
+
+      // Ascending (all misses), then descending (hits where the cache
+      // kept the answer).
+      Query q;
+      q.kind = QueryKind::kSite;
+      for (const int rank : ranks) {
+        q.rank = rank;
+        expect_answer_equals(server->handle(q), rank, fresh[rank]);
+      }
+      if (c >= 2) {  // nothing evicted: admission alone decides
+        for (const int rank : ranks) {
+          const FreshSite& site = fresh[rank];
+          if (!site.log) continue;
+          EXPECT_EQ(server->cache().contains(
+                        static_cast<std::uint32_t>(site.archive), rank),
+                    site.admission_bytes <= configs[c].max_block_bytes)
+              << "rank " << rank;
+        }
+      }
+      for (auto it = ranks.rbegin(); it != ranks.rend(); ++it) {
+        q.rank = *it;
+        expect_answer_equals(server->handle(q), *it, fresh[*it]);
+      }
+
+      const AnswerCache::Stats s = server->cache().stats();
+      const CacheCounts got{s.hits,      s.misses,
+                            s.insertions, s.evictions,
+                            s.rejected_admission, s.entries};
+      const CacheCounts& want = expected[input][c];
+      EXPECT_EQ(to_string(got), to_string(want))
+          << "input " << input << " config " << c;
+      const auto stats = server->stats_json();
+      const report::Json& cache = *stats.find("cache");
+      EXPECT_EQ(cache.find("hits")->as_int(), got.hits);
+      EXPECT_EQ(cache.find("misses")->as_int(), got.misses);
+      EXPECT_EQ(cache.find("rejected_admission")->as_int(),
+                got.rejected_admission);
     }
   }
 }
