@@ -177,6 +177,10 @@ class Server {
   const SiteRow* row_for(int rank, int* archive_index) const;
 
   std::vector<Archive> archives_;
+  /// One row per site, parallel to each archive's footer index; in chain
+  /// mode only the newest wave's vector is filled, parallel to
+  /// chain_->ranks(newest).
+  std::vector<std::vector<SiteRow>> rows_;
   /// Chain mode: the validated base+delta chain over archives_ (borrows
   /// their readers; archives_ never reallocates after construction) and
   /// one folded summary per wave, oldest first.
@@ -200,11 +204,6 @@ class Server {
   mutable std::array<std::atomic<std::int64_t>, kQueryKindCount>
       queries_by_kind_{};
   mutable std::atomic<std::int64_t> query_errors_{0};
-  /// One row per site, parallel to each archive's footer index; in chain
-  /// mode only the newest wave's vector is filled, parallel to
-  /// chain_->ranks(newest). Declared last so the hot members above keep
-  /// their offsets (and cache-line sharing) in the Server object.
-  std::vector<std::vector<SiteRow>> rows_;
 };
 
 }  // namespace cg::serve
