@@ -4,8 +4,9 @@
 // lookups. A `site <rank>` answer never changes for a given rank of a
 // loaded archive set, so caching the rendered report::Json turns the whole
 // query (binary search of the footer index, render of the site's row kept
-// by the open-time fold) into a map lookup and one copy. The cache is sharded by rank to keep lock hold
-// times off the serving path's critical section.
+// by the open-time fold) into a map lookup and one copy. The cache is
+// sharded by rank to keep lock hold times off the serving path's critical
+// section.
 //
 // Policy (deterministic — a pure function of the access sequence, no
 // wall-clock, no randomness):

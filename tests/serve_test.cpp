@@ -19,6 +19,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
 #include "analysis/fold.h"
+#include "cookies/cookie.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
 #include "crypto/crc32c.h"
@@ -978,10 +979,17 @@ TEST(ServerTest, SiteRowsEqualAFreshDecodeAndFold) {
   };
 
   // Two archives over ranks 1-200 and 101-300; the second's copies of
-  // 101-200 differ, so an answer from the wrong archive shows.
+  // 101-200 differ, so an answer from the wrong archive shows. They also
+  // write every script cookie through cookieStore, so the overwritten and
+  // deleted flags are also checked where only the cookieStore half is set.
   std::vector<instrument::VisitLog> first(logs.begin(), logs.begin() + 200);
   std::vector<instrument::VisitLog> second(logs.begin() + 100, logs.end());
-  for (auto& log : second) log.requests.clear();
+  for (auto& log : second) {
+    log.requests.clear();
+    for (auto& set : log.script_sets) {
+      set.api = cookies::CookieSource::kCookieStore;
+    }
+  }
 
   // Three waves: every 7th site loses its requests in wave 1, every 11th
   // its script cookie writes in wave 2, and wave 2 drops ranks 5 and 6.
