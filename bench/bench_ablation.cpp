@@ -66,8 +66,10 @@ CrawlStats run(const corpus::Corpus& corpus,
 }  // namespace
 
 int main(int argc, char** argv) {
-  corpus::Corpus corpus(cg::bench::default_params());
-  const int threads = cg::bench::threads_from_args(argc, argv);
+  const cg::cli::Args args =
+      cg::cli::parse_or_exit("bench_ablation", argc, argv, 1, {{{"threads"}}});
+  corpus::Corpus corpus(cg::bench::default_params(args));
+  const int threads = cg::bench::threads_from_args(args);
   cg::bench::print_header("Ablations — DESIGN.md D1/D2/D3/D5 design knobs",
                           corpus, threads);
 

@@ -41,13 +41,6 @@ constexpr int kCheckpointInterval = 50;
 constexpr int kTableTopN = 10;
 constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ULL;  // golden ratio
 
-int chaos_seeds_from_env() {
-  if (const char* env = std::getenv("CG_CHAOS_SEEDS")) {
-    return bench::require_int(env, "CG_CHAOS_SEEDS", 1, 10'000);
-  }
-  return 20;
-}
-
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
@@ -307,14 +300,15 @@ bool run_analysis_check(const corpus::Corpus& corpus,
 
 }  // namespace
 
-int main() {
-  const corpus::CorpusParams params = [] {
+int main(int argc, char** argv) {
+  const cli::Args args = cli::parse_or_exit("bench_chaos", argc, argv, 1, {});
+  const corpus::CorpusParams params = [&] {
     corpus::CorpusParams p;
-    p.site_count = bench::corpus_sites_from_env(400);
+    p.site_count = bench::corpus_sites_from_env(args, 400);
     return p;
   }();
   const corpus::Corpus corpus(params);
-  const int seeds = chaos_seeds_from_env();
+  const int seeds = bench::env_int(args, "CG_CHAOS_SEEDS", 20, 1, 10'000);
   bench::print_header("Storage chaos soak: pack/crash/resume under fault "
                       "injection", corpus);
 

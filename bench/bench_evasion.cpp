@@ -57,8 +57,10 @@ SubsetStats crawl_subset(const corpus::Corpus& corpus,
 
 }  // namespace
 
-int main() {
-  corpus::Corpus corpus(cg::bench::default_params());
+int main(int argc, char** argv) {
+  const cg::cli::Args args =
+      cg::cli::parse_or_exit("bench_evasion", argc, argv, 1, {});
+  corpus::Corpus corpus(cg::bench::default_params(args));
   cg::bench::print_header("§8 — evasion via CNAME cloaking and inline "
                           "embedding, and counter-measures",
                           corpus);

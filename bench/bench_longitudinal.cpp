@@ -41,13 +41,6 @@ using namespace cg;
 
 constexpr double kMaxDeltaRatio = 0.25;
 
-int waves_from_env(int fallback = 3) {
-  if (const char* env = std::getenv("CG_WAVES")) {
-    return bench::require_int(env, "CG_WAVES", 2, 64);
-  }
-  return fallback;
-}
-
 /// Crawls `view` into an in-memory archive. `base` non-null packs a delta
 /// archive against the chain's newest wave.
 std::string pack_wave(const corpus::CorpusView& view, int threads,
@@ -90,10 +83,12 @@ std::string analysis_fingerprint(analysis::Analyzer& analyzer) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const cli::Args args =
+      cli::parse_or_exit("bench_longitudinal", argc, argv, 1, {{{"threads"}}});
   corpus::CorpusParams params;
-  params.site_count = bench::corpus_sites_from_env(2000);
-  const int threads = bench::threads_from_args(argc, argv);
-  const int waves = waves_from_env();
+  params.site_count = bench::corpus_sites_from_env(args, 2000);
+  const int threads = bench::threads_from_args(args);
+  const int waves = bench::env_int(args, "CG_WAVES", 3, 2, 64);
   const evolve::EvolutionParams evolution;  // default churn rates
 
   std::printf("================================================================\n");

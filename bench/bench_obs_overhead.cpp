@@ -39,8 +39,10 @@ double crawl_sites_per_sec(const corpus::Corpus& corpus,
 }  // namespace
 
 int main(int argc, char** argv) {
-  corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
+  const cli::Args args =
+      cli::parse_or_exit("bench_obs_overhead", argc, argv, 1, {{{"threads"}}});
+  corpus::Corpus corpus(bench::default_params(args));
+  const int threads = bench::threads_from_args(args);
   bench::print_header("observability overhead (src/obs/)", corpus, threads);
 
   // 1. Disabled path — what every non-traced crawl pays. One untimed

@@ -609,16 +609,19 @@ void print_matrix(const std::vector<MatrixRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  corpus::Corpus corpus(bench::default_params());
-  const int threads = bench::threads_from_args(argc, argv);
-  const PolicyKind measured_policy = bench::policy_from_args(argc, argv);
+  const cli::Args args = cli::parse_or_exit(
+      "bench_paper", argc, argv, 1,
+      {{{"threads"}, {"policy"}, {"trace"}, {"trace-detail"}}});
+  corpus::Corpus corpus(bench::default_params(args));
+  const int threads = bench::threads_from_args(args);
+  const PolicyKind measured_policy = bench::policy_from_args(args);
   bench::print_header(
       "CookieGuard paper reproduction — §5 tables, Figure 5, §2.1 "
       "baselines, Tables 3-4, §6 bake-off",
       corpus, threads);
 
   const Crawl measured = [&] {
-    const auto trace = bench::trace_recorder_from_args(argc, argv);
+    const auto trace = bench::trace_recorder_from_args(args);
     return measurement_crawl(corpus, threads, measured_policy, trace.get());
   }();
   print_prevalence(measured.analyzer);

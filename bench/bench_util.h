@@ -5,28 +5,27 @@
 // rows/series as the corresponding paper table or figure, with the paper's
 // reported value alongside for comparison.
 //
-// Crawls shard across worker threads (`--threads N` argument, CG_THREADS
-// env, default: all hardware threads) — byte-identical output at any
-// thread count, see src/runtime/. Pass `--trace FILE` to any bench using
-// trace_recorder_from_args to export the crawl as Chrome trace-event JSON.
+// Each bench parses its command line with cli::parse_or_exit, declaring
+// the flags it reads. Crawls shard across worker threads (`--threads N`,
+// default: all hardware threads) — byte-identical output at any thread
+// count, see src/runtime/. `--trace FILE` on a bench using
+// trace_recorder_from_args exports the crawl as Chrome trace-event JSON.
 //
-// Malformed CG_SITES / CG_THREADS / --threads values, and a flag with no
-// value, are a hard error (exit 2), not a silent fallback: a bench that
-// quietly ran with the wrong corpus size has produced hours of wrong
-// numbers before anyone notices.
+// A malformed CG_SITES or flag value is a hard error (exit 2), not a silent
+// fallback: a bench that quietly ran with the wrong corpus size has
+// produced hours of wrong numbers before anyone notices.
 #pragma once
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
+#include "cli/args.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
 #include "obs/trace.h"
@@ -36,93 +35,55 @@
 
 namespace cg::bench {
 
-/// Strict integer parse: the whole string must be a base-10 integer in
-/// [min, max]. Exits with a clear message naming `what` otherwise.
-inline int require_int(const char* text, const char* what, int min_value,
-                       int max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < min_value ||
-      value > max_value) {
-    std::fprintf(stderr,
-                 "error: %s must be an integer in [%d, %d], got \"%s\"\n",
-                 what, min_value, max_value, text);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
+/// The integer environment knob `name` in [min_value, max_value], or
+/// `fallback` when it is unset. A malformed value exits 2 naming it.
+inline int env_int(const cli::Args& args, const char* name, int fallback,
+                   int min_value, int max_value) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  return static_cast<int>(
+      cli::uint_or_exit(args.prog, name, text, min_value, max_value));
 }
 
-inline int corpus_sites_from_env(int fallback = 20000) {
-  if (const char* env = std::getenv("CG_SITES")) {
-    return require_int(env, "CG_SITES", 1, INT_MAX);
-  }
-  return fallback;
+inline int corpus_sites_from_env(const cli::Args& args, int fallback = 20000) {
+  return env_int(args, "CG_SITES", fallback, 1, INT_MAX);
 }
 
-inline corpus::CorpusParams default_params() {
+inline corpus::CorpusParams default_params(const cli::Args& args) {
   corpus::CorpusParams params;
-  params.site_count = corpus_sites_from_env();
+  params.site_count = corpus_sites_from_env(args);
   return params;
 }
 
-/// The value after the last `flag` in argv, or null when the flag is
-/// absent. A flag with nothing but another flag (or the end of argv) after
-/// it exits 2 naming the flag: `--policy` alone must not crawl under none.
-inline const char* flag_value(int argc, char** argv, const char* flag) {
-  const char* value = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      std::fprintf(stderr, "error: %s needs a value\n", flag);
-      std::exit(2);
-    }
-    value = argv[++i];
-  }
-  return value;
+/// Worker threads for the measurement crawl: `--threads N`, where 0 (the
+/// default) means every hardware thread.
+inline int threads_from_args(const cli::Args& args) {
+  const int n = args.get_int("threads", 0, 0, INT_MAX);
+  return n > 0 ? n : runtime::ThreadPool::hardware_threads();
 }
 
-/// Worker threads for the measurement crawl: `--threads N` wins, then
-/// CG_THREADS=<n>, else every hardware thread. 0 means all hardware
-/// threads; non-numeric or negative values abort.
-inline int threads_from_args(int argc = 0, char** argv = nullptr) {
-  if (const char* text = flag_value(argc, argv, "--threads")) {
-    const int n = require_int(text, "--threads", 0, INT_MAX);
-    return n > 0 ? n : runtime::ThreadPool::hardware_threads();
-  }
-  if (const char* env = std::getenv("CG_THREADS")) {
-    const int n = require_int(env, "CG_THREADS", 0, INT_MAX);
-    return n > 0 ? n : runtime::ThreadPool::hardware_threads();
-  }
-  return runtime::ThreadPool::hardware_threads();
-}
-
-/// Partitioning engine for the defense bake-off: `--policy NAME` wins, then
-/// CG_POLICY=<name>, else none. Accepts the cgsim grammar
-/// (none/cookieguard/fpi/chips); anything else aborts — a bench that
-/// silently fell back to the wrong defense has produced hours of wrong
-/// numbers before anyone notices.
-inline policy::PolicyKind policy_from_args(int argc = 0,
-                                           char** argv = nullptr) {
-  const char* name = flag_value(argc, argv, "--policy");
-  if (name == nullptr) name = std::getenv("CG_POLICY");
-  if (name == nullptr) return policy::PolicyKind::kNone;
+/// Partitioning engine for the defense bake-off: `--policy NAME`, else
+/// none. Accepts the cgsim grammar (none/cookieguard/fpi/chips); anything
+/// else exits 2 — a bench that silently fell back to the wrong defense has
+/// produced hours of wrong numbers before anyone notices.
+inline policy::PolicyKind policy_from_args(const cli::Args& args) {
+  const std::string name = args.get("policy", "none");
   const auto kind = policy::parse_policy(name);
   if (!kind) {
     std::fprintf(stderr,
-                 "error: --policy/CG_POLICY must be none, cookieguard, fpi, "
-                 "or chips, got \"%s\"\n",
-                 name);
+                 "%s: --policy must be none, cookieguard, fpi, or chips, "
+                 "got \"%s\"\n",
+                 args.prog.c_str(), name.c_str());
     std::exit(2);
   }
   return *kind;
 }
 
-/// A streaming TraceRecorder for `--trace FILE` (or CG_TRACE=FILE), or null
-/// when tracing was not requested. Wire the result into
-/// CrawlOptions::trace; the file is finished when the recorder is
-/// destroyed. `--trace-detail full` upgrades from the crawl-level default;
-/// any detail other than crawl or full exits 2.
+/// A streaming TraceRecorder for `--trace FILE`, or null when tracing was
+/// not requested. Wire the result into CrawlOptions::trace; the file is
+/// finished when the recorder is destroyed. `--trace-detail full` upgrades
+/// from the crawl-level default; any detail other than crawl or full exits
+/// 2.
 struct BenchTrace {
   // Heap-held so the recorder's stream pointer survives moves of this
   // struct (declared before `recorder` so the stream outlives finish()).
@@ -131,27 +92,23 @@ struct BenchTrace {
   obs::TraceRecorder* get() const { return recorder.get(); }
 };
 
-inline BenchTrace trace_recorder_from_args(int argc = 0,
-                                           char** argv = nullptr) {
+inline BenchTrace trace_recorder_from_args(const cli::Args& args) {
   BenchTrace trace;
-  const char* path = flag_value(argc, argv, "--trace");
-  if (path == nullptr) path = std::getenv("CG_TRACE");
   obs::TraceConfig config;
-  config.detail = obs::Detail::kCrawl;
-  if (const char* detail = flag_value(argc, argv, "--trace-detail")) {
-    if (std::strcmp(detail, "full") == 0) {
-      config.detail = obs::Detail::kFull;
-    } else if (std::strcmp(detail, "crawl") != 0) {
-      std::fprintf(stderr,
-                   "error: --trace-detail must be crawl or full, got \"%s\"\n",
-                   detail);
-      std::exit(2);
-    }
+  const std::string detail = args.get("trace-detail", "crawl");
+  if (detail != "crawl" && detail != "full") {
+    std::fprintf(stderr,
+                 "%s: --trace-detail must be crawl or full, got \"%s\"\n",
+                 args.prog.c_str(), detail.c_str());
+    std::exit(2);
   }
-  if (path == nullptr) return trace;
+  config.detail = detail == "full" ? obs::Detail::kFull : obs::Detail::kCrawl;
+  if (!args.has("trace")) return trace;
+  const std::string path = args.get("trace");
   trace.out = std::make_unique<std::ofstream>(path);
   if (!*trace.out) {
-    std::fprintf(stderr, "error: cannot open trace file %s\n", path);
+    std::fprintf(stderr, "%s: cannot open trace file %s\n",
+                 args.prog.c_str(), path.c_str());
     std::exit(2);
   }
   trace.recorder =

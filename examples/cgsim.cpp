@@ -11,12 +11,18 @@
 //                  [--runtime-metrics FILE]
 //   cgsim audit    [--sites N] --site INDEX
 //   cgsim trace-check FILE
-//   cgsim pack     [--sites N] [--threads T] [--no-faults] --out FILE
+//   cgsim pack     [--sites N] [--threads T] [--no-faults] [--out FILE]
 //                  [--policy none|cookieguard|fpi|chips]
-//                  [--wave W] [--evo-seed S]
+//                  [--stream] [--wave W] [--evo-seed S]
 //                  [--base FILE[,FILE...]]
 //                  [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //                  [--scrub] [--metrics FILE]
+//   cgsim query    --archive FILE[,FILE...] [--wave W] [--site RANK]
+//                  [--json FILE] [--pairs-csv FILE] [--domains-csv FILE]
+//   cgsim verify-archive FILE
+//
+// Each command takes exactly the flags and arguments listed for it
+// (kCommands below); anything else exits 2 naming it.
 //
 // --policy selects the cookie-partitioning engine for the defense bake-off
 // (src/policy/): none is the status-quo jar and byte-identical to omitting
@@ -24,9 +30,6 @@
 // browsers as --guard); fpi is Firefox First-Party Isolation; chips is
 // RFC6265bis partitioned cookies. The active policy is recorded in the
 // CGAR footer, hard provenance like the corpus and fault seeds.
-//   cgsim query    --archive FILE[,FILE...] [--wave W] [--site RANK]
-//                  [--json FILE] [--pairs-csv FILE] [--domains-csv FILE]
-//   cgsim verify-archive FILE
 //
 // pack runs the measurement crawl once and streams it into a CGAR archive
 // (src/store/) — crawl once, analyze many times. query replays an archive
@@ -69,13 +72,10 @@
 //
 // Everything the benches compute, behind one adoptable binary with
 // machine-readable output.
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -84,10 +84,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/archive.h"
+#include "cli/args.h"
 #include "cookieguard/cookieguard.h"
 #include "corpus/corpus.h"
 #include "corpus/streaming_corpus.h"
@@ -111,130 +113,12 @@ namespace {
 
 using namespace cg;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// The value of a flag known to be present (check has() first): a value
-  /// flag always carries one, so there is no fallback to invent.
-  const std::string& value(const std::string& key) const {
-    return options.at(key);
-  }
-  /// The flag's value as a base-10 integer in [min_value, max_value], or
-  /// `fallback` when the flag is absent. A malformed or out-of-range value
-  /// exits 2 naming the flag: a crawl that half-parsed --sites 12x has
-  /// measured the wrong corpus without saying so.
-  int get_int(const std::string& key, int fallback, int min_value,
-              int max_value) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const char* text = it->second.c_str();
-    errno = 0;
-    char* end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || value < min_value ||
-        value > max_value) {
-      std::fprintf(stderr,
-                   "cgsim: --%s must be an integer in [%d, %d], got \"%s\"\n",
-                   key.c_str(), min_value, max_value, text);
-      std::exit(2);
-    }
-    return static_cast<int>(value);
-  }
-};
-
-// Every flag cgsim accepts. A boolean flag takes no value; every other flag
-// needs one.
-struct FlagSpec {
-  const char* name;
-  bool boolean;
-};
-constexpr FlagSpec kFlags[] = {
-    {"archive", false},        {"base", false},
-    {"checkpoint", false},     {"checkpoint-every", false},
-    {"domains-csv", false},    {"evo-seed", false},
-    {"guard", true},           {"health", false},
-    {"json", false},           {"metrics", false},
-    {"no-faults", true},       {"out", false},
-    {"pairs-csv", false},      {"policy", false},
-    {"resume", false},         {"runtime-metrics", false},
-    {"scrub", true},           {"site", false},
-    {"sites", false},          {"stream", true},
-    {"threads", false},        {"totals-only", true},
-    {"trace", false},          {"trace-detail", false},
-    {"trace-wall-clock", true}, {"wave", false},
-};
-
-/// Parses `cgsim COMMAND [--flag [VALUE]]...`. An unknown flag, or a value
-/// flag with no value after it, exits 2 naming the flag: `--sites --json
-/// a.json` must not crawl some default-sized corpus. Tokens that are not
-/// flags are left to the command (trace-check and verify-archive read
-/// argv[2]).
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const std::string key = argv[i] + 2;
-    const FlagSpec* spec = nullptr;
-    for (const FlagSpec& flag : kFlags) {
-      if (key == flag.name) spec = &flag;
-    }
-    if (spec == nullptr) {
-      std::fprintf(stderr, "cgsim: unknown flag --%s\n", key.c_str());
-      std::exit(2);
-    }
-    // Built locally then moved in: a char* assign through the map's
-    // operator[] trips the GCC 12 -Wrestrict false positive (PR 105329).
-    std::string value = "1";
-    if (!spec->boolean) {
-      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        std::fprintf(stderr, "cgsim: --%s needs a value\n", key.c_str());
-        std::exit(2);
-      }
-      value.assign(argv[++i]);
-    }
-    args.options[key] = std::move(value);
-  }
-  return args;
-}
+using cli::Args;
 
 corpus::Corpus make_corpus(const Args& args) {
   corpus::CorpusParams params;
   params.site_count = args.get_int("sites", 2000, 1, INT_MAX);
   return corpus::Corpus(params);
-}
-
-/// --evo-seed: an unsigned 64-bit integer, decimal or 0x hex, or `fallback`
-/// when absent. A decimal seed has no leading zero (`010` is neither 10 nor
-/// octal 8 but an error). Anything else exits 2, as Args::get_int does.
-std::uint64_t parse_seed(const Args& args, std::uint64_t fallback) {
-  const std::string text = args.get("evo-seed", "");
-  if (text.empty()) return fallback;
-  const bool hex = text.size() > 2 && text[0] == '0' &&
-                   (text[1] == 'x' || text[1] == 'X');
-  const std::string digits = hex ? text.substr(2) : text;
-  bool valid = !digits.empty() && (hex || digits == "0" || digits[0] != '0');
-  for (const char c : digits) {
-    const auto u = static_cast<unsigned char>(c);
-    if (hex ? std::isxdigit(u) == 0 : std::isdigit(u) == 0) valid = false;
-  }
-  errno = 0;
-  const std::uint64_t value =
-      valid ? std::strtoull(digits.c_str(), nullptr, hex ? 16 : 10) : 0;
-  if (!valid || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "cgsim: --evo-seed must be an unsigned 64-bit integer "
-                 "(decimal without leading zeros, or 0x hex), got \"%s\"\n",
-                 text.c_str());
-    std::exit(2);
-  }
-  return value;
 }
 
 /// Comma-separated path list (for --base / --archive chains).
@@ -284,7 +168,7 @@ std::unique_ptr<corpus::CorpusView> make_corpus_view(const Args& args) {
   params.site_count = args.get_int("sites", 2000, 1, INT_MAX);
   if (args.has("wave") || args.has("evo-seed")) {
     evolve::EvolutionParams evolution;
-    evolution.seed = parse_seed(args, evolution.seed);
+    evolution.seed = args.get_uint("evo-seed", evolution.seed, 0, UINT64_MAX);
     return std::make_unique<evolve::WaveCorpus>(
         params, evolution, args.get_int("wave", 0, 0, INT_MAX));
   }
@@ -351,17 +235,17 @@ bool print_analysis(const Args& args, const analysis::Analyzer& analyzer) {
   if (args.has("json")) {
     std::ostringstream out;
     out << report::summary_to_json(analyzer, 20).dump(2) << '\n';
-    ok = write_output(args.value("json"), out.str()) && ok;
+    ok = write_output(args.get("json"), out.str()) && ok;
   }
   if (args.has("pairs-csv")) {
     std::ostringstream out;
     report::write_pairs_csv(analyzer, 20, out);
-    ok = write_output(args.value("pairs-csv"), out.str()) && ok;
+    ok = write_output(args.get("pairs-csv"), out.str()) && ok;
   }
   if (args.has("domains-csv")) {
     std::ostringstream out;
     report::write_domains_csv(analyzer, 20, out);
-    ok = write_output(args.value("domains-csv"), out.str()) && ok;
+    ok = write_output(args.get("domains-csv"), out.str()) && ok;
   }
   return ok;
 }
@@ -436,13 +320,13 @@ int cmd_crawl(const Args& args) {
   // serialized once at the end.
   std::ofstream trace_out;
   std::unique_ptr<obs::TraceRecorder> recorder;
+  const std::string detail = args.get("trace-detail", "crawl");
+  if (detail != "crawl" && detail != "full") {
+    std::fprintf(stderr, "cgsim: --trace-detail must be crawl or full\n");
+    return 2;
+  }
   if (args.has("trace")) {
-    const std::string detail = args.get("trace-detail", "crawl");
-    if (detail != "crawl" && detail != "full") {
-      std::fprintf(stderr, "cgsim: --trace-detail must be crawl or full\n");
-      return 2;
-    }
-    const std::string trace_path = args.value("trace");
+    const std::string trace_path = args.get("trace");
     trace_out.open(trace_path);
     if (!trace_out) {
       std::fprintf(stderr, "cgsim: cannot open %s\n", trace_path.c_str());
@@ -486,7 +370,7 @@ int cmd_crawl(const Args& args) {
   const auto sink = [&](instrument::VisitLog&& log) { analyzer.ingest(log); };
   crawler::CrawlHealth health;
   if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.value("resume"));
+    const auto checkpoint = load_checkpoint(args.get("resume"));
     if (!checkpoint) return 1;
     if (checkpoint->corpus_seed != corpus.params().seed ||
         checkpoint->target_count > corpus.size()) {
@@ -519,24 +403,24 @@ int cmd_crawl(const Args& args) {
     trace_out.flush();
     if (!trace_out.good()) {
       std::fprintf(stderr, "cgsim: writing %s failed\n",
-                   args.value("trace").c_str());
+                   args.get("trace").c_str());
       return 1;
     }
     std::printf("wrote %s (%zu trace events)\n",
-                args.value("trace").c_str(),
+                args.get("trace").c_str(),
                 recorder->event_count());
   }
   if (args.has("metrics")) {
     std::ostringstream out;
     out << metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.value("metrics"), out.str())) {
+    if (!write_output(args.get("metrics"), out.str())) {
       return 1;
     }
   }
   if (args.has("runtime-metrics")) {
     std::ostringstream out;
     out << scheduler_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.value("runtime-metrics"), out.str())) return 1;
+    if (!write_output(args.get("runtime-metrics"), out.str())) return 1;
   }
 
   std::printf(
@@ -548,7 +432,7 @@ int cmd_crawl(const Args& args) {
   if (args.has("health")) {
     std::ostringstream out;
     out << health.to_json().dump(2) << '\n';
-    if (!write_output(args.value("health"), out.str())) return 1;
+    if (!write_output(args.get("health"), out.str())) return 1;
   }
 
   // The streaming-crawl RSS gate reads this line; stderr because peak RSS
@@ -585,7 +469,7 @@ int cmd_pack(const Args& args) {
                    "packs (--base)\n");
       return 2;
     }
-    base_chain = open_chain(split_paths(args.value("base")), &base_readers);
+    base_chain = open_chain(split_paths(args.get("base")), &base_readers);
     if (!base_chain) return 1;
     const store::Reader& tail = base_chain->archive(base_chain->waves() - 1);
     if (to_archive_policy(*policy_kind) != tail.policy()) {
@@ -608,7 +492,7 @@ int cmd_pack(const Args& args) {
     }
     evolve::EvolutionParams evolution;
     if (tail.evolution_seed() != 0) evolution.seed = tail.evolution_seed();
-    evolution.seed = parse_seed(args, evolution.seed);
+    evolution.seed = args.get_uint("evo-seed", evolution.seed, 0, UINT64_MAX);
     if (tail.evolution_seed() != 0 &&
         evolution.seed != tail.evolution_seed()) {
       std::fprintf(stderr,
@@ -635,7 +519,7 @@ int cmd_pack(const Args& args) {
     corpus_view = make_corpus_view(args);
     if (args.has("wave") || args.has("evo-seed")) {
       evolve::EvolutionParams defaults;
-      evolution_seed = parse_seed(args, defaults.seed);
+      evolution_seed = args.get_uint("evo-seed", defaults.seed, 0, UINT64_MAX);
     }
   }
   const corpus::CorpusView& corpus = *corpus_view;
@@ -699,7 +583,7 @@ int cmd_pack(const Args& args) {
   crawler::CrawlHealth health;
 
   if (args.has("resume")) {
-    const auto checkpoint = load_checkpoint(args.value("resume"));
+    const auto checkpoint = load_checkpoint(args.get("resume"));
     if (!checkpoint) return 1;
     if (checkpoint->corpus_seed != corpus.params().seed ||
         checkpoint->target_count > corpus.size()) {
@@ -773,7 +657,7 @@ int cmd_pack(const Args& args) {
   if (args.has("metrics")) {
     std::ostringstream out;
     out << pack_metrics.to_json().dump(2) << '\n';
-    if (!write_output(args.value("metrics"), out.str())) {
+    if (!write_output(args.get("metrics"), out.str())) {
       return 1;
     }
   }
@@ -932,7 +816,8 @@ int cmd_query(const Args& args) {
 }
 
 // CRC-walks every block; the cheap "is this artifact intact?" gate.
-int cmd_verify_archive(const std::string& path) {
+int cmd_verify_archive(const Args& args) {
+  const std::string& path = args.positionals[0];
   store::Error error;
   const auto reader = store::Reader::open(path, &error);
   if (!reader) {
@@ -996,7 +881,8 @@ int cmd_audit(const Args& args) {
 // stable-sorted per-site merge. (Global monotonicity is deliberately not
 // required: site clocks are staggered and retries shift them, so a later
 // track can legitimately start before an earlier track's retries end.)
-int cmd_trace_check(const std::string& path) {
+int cmd_trace_check(const Args& args) {
+  const std::string& path = args.positionals[0];
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cgsim: cannot open %s\n", path.c_str());
@@ -1064,39 +950,50 @@ int cmd_trace_check(const std::string& path) {
   return 0;
 }
 
+// The flags each command reads; any other flag exits 2 naming it.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  cli::Spec spec;
+};
+
+const Command kCommands[] = {
+    {"crawl", cmd_crawl,
+     {{{"sites"}, {"threads"}, {"guard", true}, {"no-faults", true},
+       {"policy"}, {"stream", true}, {"wave"}, {"evo-seed"},
+       {"totals-only", true}, {"json"}, {"pairs-csv"}, {"domains-csv"},
+       {"health"}, {"checkpoint"}, {"checkpoint-every"}, {"resume"},
+       {"trace"}, {"trace-detail"}, {"trace-wall-clock", true}, {"metrics"},
+       {"runtime-metrics"}}}},
+    {"audit", cmd_audit, {{{"sites"}, {"site"}}}},
+    {"trace-check", cmd_trace_check, {{}, 1, 1}},
+    {"pack", cmd_pack,
+     {{{"sites"}, {"threads"}, {"no-faults", true}, {"out"}, {"policy"},
+       {"stream", true}, {"wave"}, {"evo-seed"}, {"base"}, {"checkpoint"},
+       {"checkpoint-every"}, {"resume"}, {"scrub", true}, {"metrics"}}}},
+    {"query", cmd_query,
+     {{{"archive"}, {"wave"}, {"site"}, {"json"}, {"pairs-csv"},
+       {"domains-csv"}}}},
+    {"verify-archive", cmd_verify_archive, {{}, 1, 1}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.command == "crawl") return cmd_crawl(args);
-  if (args.command == "audit") return cmd_audit(args);
-  if (args.command == "trace-check") {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: cgsim trace-check FILE\n");
-      return 2;
+  const std::string_view command = argc > 1 ? argv[1] : "";
+  for (const Command& c : kCommands) {
+    if (command == c.name) {
+      return c.run(cli::parse_or_exit("cgsim", argc, argv, 2, c.spec));
     }
-    return cmd_trace_check(argv[2]);
   }
-  if (args.command == "pack") return cmd_pack(args);
-  if (args.command == "query") return cmd_query(args);
-  if (args.command == "verify-archive") {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: cgsim verify-archive FILE\n");
-      return 2;
+  std::string usage = "usage:\n";
+  for (const Command& c : kCommands) {
+    usage += "  cgsim " + std::string(c.name);
+    for (const cli::Flag& flag : c.spec.flags) {
+      usage += " [--" + std::string(flag.name) + (flag.boolean ? "]" : " V]");
     }
-    return cmd_verify_archive(argv[2]);
+    usage += c.spec.max_args > 0 ? " FILE\n" : "\n";
   }
-  std::fprintf(stderr,
-               "usage: cgsim <crawl|audit|trace-check|pack|query|"
-               "verify-archive>\n"
-               "             [--sites N] [--threads T] [--guard] "
-               "[--policy none|cookieguard|fpi|chips] [--site I]\n"
-               "             [--stream] [--wave W] [--evo-seed S] "
-               "[--totals-only] [--base FILE,...]\n"
-               "             [--json FILE] [--pairs-csv FILE] "
-               "[--domains-csv FILE]\n"
-               "             [--trace FILE] [--metrics FILE] "
-               "[--runtime-metrics FILE]\n"
-               "             [--out FILE] [--archive FILE[,FILE...]]\n");
+  std::fputs(usage.c_str(), stderr);
   return 2;
 }

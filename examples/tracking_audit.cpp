@@ -3,37 +3,28 @@
 // scripts touch cookies they do not own.
 //
 // Usage: tracking_audit [site-index]   (0-199, default 41; ignores CG_SITES)
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "analysis/analyzer.h"
+#include "cli/args.h"
 #include "corpus/corpus.h"
 #include "crawler/crawler.h"
 
 int main(int argc, char** argv) {
   using namespace cg;
 
+  const cli::Args args =
+      cli::parse_or_exit("tracking_audit", argc, argv, 1, {{}, 0, 1});
   corpus::CorpusParams params;
   params.site_count = 200;
   corpus::Corpus corpus(params);
-
-  int index = 41;
-  if (argc > 1) {
-    errno = 0;
-    char* end = nullptr;
-    const long value = std::strtol(argv[1], &end, 10);
-    if (end == argv[1] || *end != '\0' || errno == ERANGE || value < 0 ||
-        value >= corpus.size()) {
-      std::fprintf(stderr,
-                   "tracking_audit: site-index must be an integer in "
-                   "[0, %d], got \"%s\"\n",
-                   corpus.size() - 1, argv[1]);
-      return 2;
-    }
-    index = static_cast<int>(value);
-  }
+  const int index =
+      args.positionals.empty()
+          ? 41
+          : static_cast<int>(cli::uint_or_exit(args.prog, "site-index",
+                                               args.positionals[0], 0,
+                                               corpus.size() - 1));
   const auto& bp = corpus.site(index);
 
   std::printf("Auditing https://%s/ (rank %d)\n", bp.host.c_str(), bp.rank);

@@ -11,7 +11,7 @@
 // excuses findings recorded in a checked-in baseline (CI gates on *new*
 // findings); --write-baseline snapshots the current findings and exits 0.
 // --sarif writes a SARIF 2.1.0 log ("-" for stdout). --max-ms fails the run
-// (exit 3) when the whole-tree scan exceeds the budget.
+// (exit 3) when the whole-tree scan takes longer than N ms (an integer >= 1).
 //
 // Exit codes: 0 clean, 1 violations (or reasonless/malformed suppressions),
 // 2 usage or configuration error, 3 over the --max-ms budget. Run from the
@@ -20,12 +20,14 @@
 //   ./build/tools/cglint --config lint/layering.txt --census src bench
 
 #include <chrono>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli/args.h"
 #include "lint/config.h"
 #include "lint/linter.h"
 #include "lint/sarif.h"
@@ -50,67 +52,27 @@ bool write_text_file(const std::string& path, const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string config_file = "lint/layering.txt";
-  std::string enums_file;
-  std::string metrics_file;
-  std::string sarif_file;
-  std::string baseline_file;
-  std::string write_baseline_file;
-  double max_ms = 0.0;
-  bool census = false;
-  bool quiet = false;
-  std::vector<std::string> roots;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (arg == "--config") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      config_file = v;
-    } else if (arg == "--enums") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      enums_file = v;
-    } else if (arg == "--metrics") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      metrics_file = v;
-    } else if (arg == "--sarif") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      sarif_file = v;
-    } else if (arg == "--baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      baseline_file = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      write_baseline_file = v;
-    } else if (arg == "--max-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      try {
-        max_ms = std::stod(v);
-      } catch (...) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--census") {
-      census = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv[0]);
-    } else {
-      roots.push_back(arg);
-    }
+  const cg::cli::Args args = cg::cli::parse_or_exit(
+      "cglint", argc, argv, 1,
+      {{{"config"}, {"enums"}, {"metrics"}, {"census", true}, {"quiet", true},
+        {"sarif"}, {"baseline"}, {"write-baseline"}, {"max-ms"},
+        {"help", true}},
+       0, INT_MAX});
+  if (args.has("help")) {
+    usage(argv[0]);
+    return 0;
   }
+  const std::vector<std::string>& roots = args.positionals;
   if (roots.empty()) return usage(argv[0]);
+  const std::string config_file = args.get("config", "lint/layering.txt");
+  std::string enums_file = args.get("enums");
+  std::string metrics_file = args.get("metrics");
+  const std::string sarif_file = args.get("sarif");
+  const std::string baseline_file = args.get("baseline");
+  const std::string write_baseline_file = args.get("write-baseline");
+  const int max_ms = args.get_int("max-ms", 0, 1, INT_MAX);
+  const bool census = args.has("census");
+  const bool quiet = args.has("quiet");
 
   std::string error;
   auto config = cg::lint::Config::load(config_file, &error);
@@ -190,7 +152,7 @@ int main(int argc, char** argv) {
     std::cout << "cglint: scanned in " << elapsed_ms << " ms\n";
   }
   if (!report.clean()) return 1;
-  if (max_ms > 0.0 && elapsed_ms > max_ms) {
+  if (max_ms > 0 && elapsed_ms > max_ms) {
     std::cerr << "cglint: scan took " << elapsed_ms
               << " ms, over the --max-ms " << max_ms << " budget\n";
     return 3;

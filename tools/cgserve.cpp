@@ -12,17 +12,15 @@
 // single-line JSON on stdout, byte-deterministic for a given archive set
 // and query; diagnostics (timing, startup) go to stderr so stdout stays
 // clean for consumers.
-#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "cli/args.h"
 #include "obs/metrics.h"
 #include "report/json.h"
 #include "serve/server.h"
@@ -32,14 +30,6 @@ namespace {
 using cg::serve::Query;
 using cg::serve::Server;
 using cg::serve::ServerConfig;
-
-struct Options {
-  std::vector<std::string> archives;
-  std::vector<std::string> queries;  // one-shot; empty -> stdin REPL
-  std::string metrics_path;          // --metrics FILE: serve.* counters JSON
-  bool timing = false;               // --timing: per-query latency to stderr
-  std::size_t cache_entries = 4096;  // --cache-entries N (0 disables)
-};
 
 int usage() {
   std::fprintf(stderr,
@@ -52,56 +42,6 @@ int usage() {
                "         | top-domains [n] | entity <name> | stats\n"
                "         | waves [domain]   (base+delta archive chains)\n");
   return 2;
-}
-
-/// A command-line error: names the flag, then the usage text; exit 2.
-[[noreturn]] void flag_error(const std::string& what, std::string_view flag) {
-  std::fprintf(stderr, "cgserve: %s %.*s\n", what.c_str(),
-               static_cast<int>(flag.size()), flag.data());
-  std::exit(usage());
-}
-
-/// A non-negative decimal entry count; anything else (a sign, a suffix,
-/// an overflow) is a flag error.
-std::size_t parse_count(const char* text, std::string_view flag) {
-  const bool digits =
-      *text != '\0' && std::strspn(text, "0123456789") == std::strlen(text);
-  errno = 0;
-  const unsigned long long n = digits ? std::strtoull(text, nullptr, 10) : 0;
-  if (!digits || errno == ERANGE) {
-    flag_error("bad value \"" + std::string(text) + "\" for", flag);
-  }
-  return static_cast<std::size_t>(n);
-}
-
-/// Strict: an unknown flag, or a value flag with no value after it (the end
-/// of argv or another --flag), exits 2 naming the flag.
-bool parse_args(int argc, char** argv, Options* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--timing") {
-      out->timing = true;
-      continue;
-    }
-    if (arg != "--archive" && arg != "--query" && arg != "--metrics" &&
-        arg != "--cache-entries") {
-      flag_error("unknown flag", arg);
-    }
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      flag_error("missing value for", arg);
-    }
-    const char* value = argv[++i];
-    if (arg == "--archive") {
-      out->archives.emplace_back(value);
-    } else if (arg == "--query") {
-      out->queries.emplace_back(value);
-    } else if (arg == "--metrics") {
-      out->metrics_path = value;
-    } else {
-      out->cache_entries = parse_count(value, arg);
-    }
-  }
-  return !out->archives.empty();
 }
 
 /// Answers one protocol line. Parse failures are answered (as JSON errors),
@@ -132,14 +72,22 @@ void answer(const Server& server, const std::string& line, bool timing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  if (!parse_args(argc, argv, &options)) return usage();
+  const cg::cli::Args args = cg::cli::parse_or_exit(
+      "cgserve", argc, argv, 1,
+      {{{"archive"}, {"query"}, {"metrics"}, {"timing", true},
+        {"cache-entries"}}});
+  const std::vector<std::string> archives = args.all("archive");
+  if (archives.empty()) return usage();
+  const std::vector<std::string> queries = args.all("query");
+  const bool timing = args.has("timing");
+  const std::string metrics_path = args.get("metrics");
 
   ServerConfig config;
-  config.cache.max_entries = options.cache_entries;
+  config.cache.max_entries =
+      args.get_uint("cache-entries", 4096, 0, SIZE_MAX);
 
   cg::store::Error error;
-  const auto server = Server::open(options.archives, config, &error);
+  const auto server = Server::open(archives, config, &error);
   if (server == nullptr) {
     std::fprintf(stderr, "cgserve: cannot serve: %s\n",
                  error.to_string().c_str());
@@ -148,9 +96,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "cgserve: serving %d sites from %d archive(s)\n",
                server->site_count(), server->archive_count());
 
-  if (!options.queries.empty()) {
-    for (const std::string& line : options.queries) {
-      answer(*server, line, options.timing);
+  if (!queries.empty()) {
+    for (const std::string& line : queries) {
+      answer(*server, line, timing);
     }
   } else {
     std::string line;
@@ -159,18 +107,18 @@ int main(int argc, char** argv) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line == "quit" || line == "exit") break;
       if (line.empty()) continue;
-      answer(*server, line, options.timing);
+      answer(*server, line, timing);
     }
   }
 
-  if (!options.metrics_path.empty()) {
+  if (!metrics_path.empty()) {
     cg::obs::MetricsRegistry registry;
     server->export_metrics(registry);
-    std::ofstream out(options.metrics_path);
+    std::ofstream out(metrics_path);
     out << registry.to_json().dump(2) << "\n";
     if (!out) {
       std::fprintf(stderr, "cgserve: cannot write %s\n",
-                   options.metrics_path.c_str());
+                   metrics_path.c_str());
       return 1;
     }
   }
