@@ -1,6 +1,7 @@
 // Reproduces the paper's §5 measurement, Figure 5, the §2.1 baseline
-// comparison, the §7 evaluation (Table 3 breakage, Table 4 page-load cost)
-// and the §6 defense bake-off from nine crawls of one corpus:
+// comparison, the §7 evaluation (Table 3 breakage, Table 4 page-load cost),
+// the §6 defense bake-off, the DESIGN.md §4 ablations and the §8 evasion
+// study from thirteen whole-corpus crawls of one corpus:
 //
 //   1. the measurement crawl (faults on; `--policy`, `--trace` and
 //      CG_ARCHIVE apply to it): §5.1/§5.6 prevalence, §5.2 API usage,
@@ -8,17 +9,28 @@
 //      and the bake-off's Table 5 columns for its policy;
 //   2. a fault-free plain crawl and
 //   3. a fault-free crawl with one CookieGuard per worker: Figure 5, the
-//      §2.1 "no defense" and "CookieGuard" rows, Table 4, and the
-//      bake-off's load overhead for none and cookieguard;
+//      §2.1 "no defense" and "CookieGuard" rows, Table 4, the bake-off's
+//      load overhead for none and cookieguard, and the paper rows of
+//      ablations D1/D5 (crawl 2, whose sink also feeds D5's raw-only
+//      matcher) and D2/D3 (crawl 3);
 //   4. a fault-free crawl with one FilterListBlocker per worker: the §2.1
 //      filter-list row;
 //   5-7. crawl 1's configuration under each other bake-off policy: their
 //      Table 5 columns (the none row may replay CG_ARCHIVE);
-//   8-9. fault-free crawls under fpi and chips: their load overhead.
+//   8-9. fault-free crawls under fpi and chips: their load overhead;
+//   10-11. crawl 2 with async stack traces off and with top-frame-only
+//      attribution: ablation D1;
+//   12-13. crawl 3 with strict isolation and with inline scripts treated
+//      as first party: ablations D2 and D3.
 //
 // Crawls 2-4 run without a partitioning policy: Figure 5, §2.1 and Table 4
 // compare extensions on the status-quo jar. Table 3 and the bake-off's
 // breakage columns probe a 100-site sample (src/breakage/), not the corpus.
+// The §8 evasion study visits only the cloaked and inline-snippet sites,
+// one at a time.
+//
+// tests/golden/paper_300.txt pins everything below the 4-line header at
+// CG_SITES=300 (tests/paper_pin.cmake).
 #include "baselines/baselines.h"
 #include "breakage/breakage.h"
 #include "cookieguard/cookieguard.h"
@@ -64,13 +76,17 @@ struct Crawl {
 };
 
 /// The one crawl helper: the whole corpus under `options` (policy, fault
-/// plan, per-worker extensions, trace, threads), metrics on.
-Crawl crawl(const corpus::Corpus& corpus, crawler::CrawlOptions options) {
+/// plan, per-worker extensions, trace, threads), metrics on. A non-null
+/// `also` folds every visit too.
+Crawl crawl(const corpus::Corpus& corpus, crawler::CrawlOptions options,
+            analysis::Analyzer* also = nullptr) {
   Crawl out{analysis::Analyzer(corpus.entities()), {}, {}};
   options.metrics = &out.metrics;
   crawler::Crawler(corpus).crawl(
-      corpus.size(), options,
-      [&out](instrument::VisitLog&& log) { out.analyzer.ingest(log); });
+      corpus.size(), options, [&out, also](instrument::VisitLog&& log) {
+        out.analyzer.ingest(log);
+        if (also != nullptr) also->ingest(log);
+      });
   return out;
 }
 
@@ -94,10 +110,13 @@ perf::Metrics timing_crawl(const corpus::Corpus& corpus,
   return timings.metrics();
 }
 
-/// crawl() with one strict CookieGuard per worker.
+/// crawl() with one CookieGuard per worker under `config` (the paper's
+/// policy by default).
 Crawl guarded_crawl(const corpus::Corpus& corpus,
-                    crawler::CrawlOptions options) {
-  crawler::PerWorker<cookieguard::CookieGuard> guards(options.threads);
+                    crawler::CrawlOptions options,
+                    const cookieguard::CookieGuardConfig& config = {}) {
+  crawler::PerWorker<cookieguard::CookieGuard> guards(options.threads,
+                                                      config);
   options.extension_factory = guards.factory();
   Crawl out = crawl(corpus, options);
   for (const auto& guard : guards.instances()) {
@@ -606,6 +625,201 @@ void print_matrix(const std::vector<MatrixRow>& rows) {
       "breakage.\n\n");
 }
 
+// The DESIGN.md §4 ablations, each knob against the paper's choice. Rates
+// are percentages of sites with complete logs (cross-domain actions) or of
+// attributed script cookie writes.
+struct AblationRow {
+  double exfil_sites = 0, over_sites = 0, del_sites = 0;
+  double attribution_accuracy = 0, attribution_unknown = 0;
+  int exfil_pairs = 0;
+};
+
+AblationRow ablation_row(const analysis::Analyzer& analyzer) {
+  const auto& t = analyzer.totals();
+  const double n = t.sites_complete;
+  AblationRow row;
+  row.exfil_sites = 100.0 * t.sites_doc_exfil / n;
+  row.over_sites = 100.0 * t.sites_doc_overwrite / n;
+  row.del_sites = 100.0 * t.sites_doc_delete / n;
+  if (t.attributed_sets > 0) {
+    row.attribution_accuracy =
+        100.0 * t.attribution_correct / t.attributed_sets;
+    row.attribution_unknown =
+        100.0 * t.attribution_unknown / t.attributed_sets;
+  }
+  row.exfil_pairs =
+      analyzer.exfiltrated_pair_count(CookieSource::kDocumentCookie);
+  return row;
+}
+
+/// The ablation rows that reuse fault-free crawls run for earlier tables:
+/// D1's and D5's paper rows are the plain crawl, whose sink also fed D5's
+/// raw-only matcher, and D2/D3's paper row is Figure 5's guarded crawl.
+struct AblationPaperRows {
+  AblationRow plain;
+  AblationRow raw_only;
+  AblationRow guarded;
+};
+
+void print_ablations(const corpus::Corpus& corpus,
+                     const crawler::CrawlOptions& fault_free,
+                     const AblationPaperRows& paper) {
+  section("Ablations — DESIGN.md D1/D2/D3/D5 design knobs");
+
+  std::printf("\n-- D1: stack-trace attribution of cookie writes --\n");
+  auto no_async_options = fault_free;
+  no_async_options.browser_config.async_stack_traces = false;
+  auto top_only_options = fault_free;
+  top_only_options.attribution = ext::AttributionMode::kTopFrameOnly;
+  const AblationRow d1[] = {
+      paper.plain, ablation_row(crawl(corpus, no_async_options).analyzer),
+      ablation_row(crawl(corpus, top_only_options).analyzer)};
+  const char* d1_labels[] = {"last-external + async stack traces (paper)",
+                             "last-external, async stacks disabled",
+                             "top-frame-only (naive)"};
+  for (int i = 0; i < 3; ++i) {
+    std::printf("  %-44s accuracy %5.1f%%  unknown %5.1f%%\n", d1_labels[i],
+                d1[i].attribution_accuracy, d1[i].attribution_unknown);
+  }
+
+  std::printf("\n-- D2/D3: CookieGuard policy (residual cross-domain sites, "
+              "%%) --\n");
+  cookieguard::CookieGuardConfig strict_cfg;
+  strict_cfg.site_owner_full_access = false;
+  cookieguard::CookieGuardConfig inline_cfg;
+  inline_cfg.deny_inline_scripts = false;
+  const AblationRow d2[] = {
+      paper.guarded,
+      ablation_row(guarded_crawl(corpus, fault_free, strict_cfg).analyzer),
+      ablation_row(guarded_crawl(corpus, fault_free, inline_cfg).analyzer)};
+  const char* d2_labels[] = {"paper policy (owner access, inline deny)",
+                             "strict isolation (no owner access)",
+                             "inline scripts treated as first party"};
+  for (int i = 0; i < 3; ++i) {
+    std::printf("  %-40s exfil %5.1f  overwrite %5.1f  delete %5.1f\n",
+                d2_labels[i], d2[i].exfil_sites, d2[i].over_sites,
+                d2[i].del_sites);
+  }
+
+  std::printf("\n-- D5: exfiltration detector encodings --\n");
+  std::printf("  %-44s pairs %5d  sites %5.1f%%\n",
+              "raw + Base64 + MD5 + SHA1 (paper)", paper.plain.exfil_pairs,
+              paper.plain.exfil_sites);
+  std::printf("  %-44s pairs %5d  sites %5.1f%%\n", "raw matching only",
+              paper.raw_only.exfil_pairs, paper.raw_only.exfil_sites);
+  std::printf("  encoded-only flows missed by the raw detector: %d pairs "
+              "(LinkedIn-style Base64,\n  hashed sync pixels)\n",
+              paper.plain.exfil_pairs - paper.raw_only.exfil_pairs);
+  std::printf("\n");
+}
+
+// §8 evasion: how scripts escape CookieGuard's attribution, and the
+// counter-measures the paper sketches.
+//
+//   * CNAME cloaking: a tracker served from metrics.<site> (CNAME to
+//     collect.cloaktrack.net) is attributed to the first party and inherits
+//     the site-owner full-access policy — it sees the whole jar. Resolving
+//     canonical names (resolve_cname_cloaking) demotes it to a third party.
+//   * Inline embedding: a verbatim inline copy of the gtag snippet is
+//     denied all cookie access by the safe-by-default policy (over-
+//     blocking); behaviour-signature matching restores it as
+//     googletagmanager.com without opening the jar to unknown inline code.
+struct SubsetStats {
+  double exfil_sites = 0;   // cross-domain exfiltration among subset sites
+  double ga_set_sites = 0;  // sites where an inline script created a cookie
+};
+
+/// Visits `subset` one site at a time (visit() never applies the fault
+/// plan), with `guard` installed when non-null.
+SubsetStats crawl_subset(const corpus::Corpus& corpus,
+                         const std::vector<int>& subset,
+                         cookieguard::CookieGuard* guard) {
+  crawler::Crawler crawler(corpus);
+  analysis::Analyzer analyzer(corpus.entities());
+  crawler::CrawlOptions options;
+  if (guard != nullptr) options.extra_extensions.push_back(guard);
+
+  int ga_sites = 0;
+  for (const int index : subset) {
+    const auto log = crawler.visit(index, options);
+    // Ground truth: an inline script (no script URL) created a cookie.
+    const bool ga = std::any_of(
+        log.script_sets.begin(), log.script_sets.end(), [](const auto& s) {
+          return s.true_domain.empty() &&
+                 s.change_type == cookies::CookieChange::Type::kCreated;
+        });
+    ga_sites += ga ? 1 : 0;
+    analyzer.ingest(log);
+  }
+  SubsetStats out;
+  const auto& t = analyzer.totals();
+  out.exfil_sites =
+      t.sites_complete > 0 ? 100.0 * t.sites_doc_exfil / t.sites_complete : 0;
+  out.ga_set_sites = subset.empty() ? 0 : 100.0 * ga_sites / subset.size();
+  return out;
+}
+
+void print_evasion(const corpus::Corpus& corpus) {
+  section("§8 — evasion via CNAME cloaking and inline embedding, and "
+          "counter-measures");
+  std::vector<int> cloaked_sites;
+  std::vector<int> inline_sites;
+  for (int i = 0; i < corpus.size(); ++i) {
+    if (corpus.site(i).has_cloaked_tracker) cloaked_sites.push_back(i);
+    if (corpus.site(i).has_inline_tracker) inline_sites.push_back(i);
+  }
+  std::printf("\nsites with a CNAME-cloaked tracker: %zu; with an inline "
+              "vendor snippet: %zu\n",
+              cloaked_sites.size(), inline_sites.size());
+
+  std::printf("\n-- CNAME cloaking (cross-domain exfiltration on cloaked "
+              "sites) --\n");
+  {
+    const auto none = crawl_subset(corpus, cloaked_sites, nullptr);
+    cookieguard::CookieGuard plain_guard;
+    const auto guarded = crawl_subset(corpus, cloaked_sites, &plain_guard);
+    cookieguard::CookieGuardConfig uncloak_cfg;
+    uncloak_cfg.resolve_cname_cloaking = true;
+    cookieguard::CookieGuard uncloak_guard(uncloak_cfg);
+    const auto uncloaked = crawl_subset(corpus, cloaked_sites, &uncloak_guard);
+
+    std::printf("  %-44s %5.1f%% of cloaked sites\n", "no extension",
+                none.exfil_sites);
+    std::printf("  %-44s %5.1f%%  <- the cloaked script passes as the site "
+                "owner\n",
+                "CookieGuard (no uncloaking)", guarded.exfil_sites);
+    std::printf("  %-44s %5.1f%%  <- canonical-name attribution closes the "
+                "hole\n",
+                "CookieGuard + resolve_cname_cloaking", uncloaked.exfil_sites);
+  }
+
+  std::printf("\n-- Inline vendor snippet (gtag pasted inline) --\n");
+  {
+    const auto none = crawl_subset(corpus, inline_sites, nullptr);
+    cookieguard::CookieGuard plain_guard;
+    const auto guarded = crawl_subset(corpus, inline_sites, &plain_guard);
+
+    cookieguard::SignatureDb signatures;
+    signatures.build_from_catalog(corpus.catalog());
+    cookieguard::CookieGuardConfig sig_cfg;
+    sig_cfg.signature_db = &signatures;
+    cookieguard::CookieGuard sig_guard(sig_cfg);
+    const auto matched = crawl_subset(corpus, inline_sites, &sig_guard);
+
+    std::printf("  signature database: %zu known vendor signatures\n",
+                signatures.size());
+    std::printf("  %-44s inline sets on %5.1f%% of sites\n", "no extension",
+                none.ga_set_sites);
+    std::printf("  %-44s inline sets on %5.1f%%  <- safe-by-default denies "
+                "the legit snippet\n",
+                "CookieGuard (inline denied)", guarded.ga_set_sites);
+    std::printf("  %-44s inline sets on %5.1f%%  <- recognised as "
+                "googletagmanager.com\n",
+                "CookieGuard + signature matching", matched.ga_set_sites);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -617,7 +831,7 @@ int main(int argc, char** argv) {
   const PolicyKind measured_policy = bench::policy_from_args(args);
   bench::print_header(
       "CookieGuard paper reproduction — §5 tables, Figure 5, §2.1 "
-      "baselines, Tables 3-4, §6 bake-off",
+      "baselines, Tables 3-4, §6 bake-off, ablations, §8 evasion",
       corpus, threads);
 
   const Crawl measured = [&] {
@@ -635,8 +849,11 @@ int main(int argc, char** argv) {
   const auto fault_free = crawl_options(threads, PolicyKind::kNone,
                                         /*faults=*/false);
   perf::Comparison table4;
+  AblationPaperRows ablation_paper;
   {
-    const Crawl plain = crawl(corpus, fault_free);
+    analysis::Analyzer raw_only(corpus.entities(),
+                                {.match_encoded_identifiers = false});
+    const Crawl plain = crawl(corpus, fault_free, &raw_only);
     const Crawl guarded = guarded_crawl(corpus, fault_free);
     print_fig5(plain.analyzer, guarded.analyzer, guarded.guard_stats);
 
@@ -652,6 +869,8 @@ int main(int argc, char** argv) {
     print_baselines(plain.analyzer, filtered.analyzer, guarded.analyzer,
                     filter_stats);
     table4 = perf::compare(landing_timings(plain), landing_timings(guarded));
+    ablation_paper = {ablation_row(plain.analyzer), ablation_row(raw_only),
+                      ablation_row(guarded.analyzer)};
   }
 
   const breakage::BreakageEvaluator evaluator(corpus);
@@ -693,5 +912,8 @@ int main(int argc, char** argv) {
                          measurement_crawl(corpus, threads, kind)));
   }
   print_matrix(rows);
+
+  print_ablations(corpus, fault_free, ablation_paper);
+  print_evasion(corpus);
   return 0;
 }

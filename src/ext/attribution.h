@@ -3,7 +3,8 @@
 // Shared by the measurement extension (§4.1 "the calling script's URL,
 // derived from the stack trace") and CookieGuard (§6.2 "inferred by
 // analyzing the JavaScript stack trace to locate the last external script
-// URL"). The attribution mode is a design knob ablated in bench_ablation.
+// URL"). The attribution mode is a design knob: bench_paper's D1 ablation
+// compares the modes.
 #pragma once
 
 #include <string>

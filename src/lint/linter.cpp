@@ -128,6 +128,7 @@ LintReport lint_paths(const Config& config,
                       const std::vector<std::string>& roots) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
+  std::vector<Violation> io_errors;
   for (const std::string& root : roots) {
     const fs::path root_path(root);
     std::error_code ec;
@@ -137,7 +138,12 @@ LintReport lint_paths(const Config& config,
     }
     fs::recursive_directory_iterator it(
         root_path, fs::directory_options::skip_permission_denied, ec);
-    if (ec) continue;
+    if (ec) {
+      // A mistyped root would otherwise lint nothing and pass.
+      io_errors.push_back({root_path.generic_string(), 0, "IO",
+                           "not a file or readable directory"});
+      continue;
+    }
     for (const auto& entry : it) {
       if (entry.is_directory(ec)) {
         if (skip_directory(entry.path())) it.disable_recursion_pending();
@@ -153,7 +159,6 @@ LintReport lint_paths(const Config& config,
 
   std::vector<SourceFile> sources;
   sources.reserve(files.size());
-  std::vector<Violation> io_errors;
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {

@@ -26,7 +26,14 @@ class IntegrationTest : public ::testing::Test {
     return instance;
   }
 
-  analysis::Analyzer run_crawl(
+  /// The fault-free plain crawl, run once and shared by every test that
+  /// compares against it.
+  static const analysis::Analyzer& baseline() {
+    static const analysis::Analyzer instance = run_crawl(nullptr);
+    return instance;
+  }
+
+  static analysis::Analyzer run_crawl(
       browser::Extension* guard,
       policy::PolicyKind policy = policy::PolicyKind::kNone) {
     crawler::Crawler crawler(corpus());
@@ -43,7 +50,7 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, BaselineMatchesPaperShape) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto& analyzer = baseline();
   const auto& t = analyzer.totals();
   const double crawled = t.sites_crawled;
   const double n = t.sites_complete;
@@ -85,11 +92,10 @@ TEST_F(IntegrationTest, BaselineMatchesPaperShape) {
 }
 
 TEST_F(IntegrationTest, CookieGuardBlocksMostCrossDomainActions) {
-  const auto baseline = run_crawl(nullptr);
   cookieguard::CookieGuard guard;
   const auto guarded = run_crawl(&guard);
 
-  const auto& b = baseline.totals();
+  const auto& b = baseline().totals();
   const auto& g = guarded.totals();
   const double n_b = b.sites_complete;
   const double n_g = g.sites_complete;
@@ -109,8 +115,7 @@ TEST_F(IntegrationTest, CookieGuardBlocksMostCrossDomainActions) {
 TEST_F(IntegrationTest, SitePartitioningLeavesMainFrameActionsUnchanged) {
   // §2.1: FPI and CHIPS key the jar on the top-level site, which every
   // main-frame script shares, so they stop no cross-domain action.
-  const auto baseline = run_crawl(nullptr);
-  const auto& b = baseline.totals();
+  const auto& b = baseline().totals();
   for (const auto policy : {policy::PolicyKind::kFirstPartyIsolation,
                             policy::PolicyKind::kChips}) {
     const auto partitioned = run_crawl(nullptr, policy);
@@ -135,7 +140,7 @@ TEST_F(IntegrationTest, StrictIsolationEliminatesResidualOwnerActions) {
 }
 
 TEST_F(IntegrationTest, GhostWrittenShareMatchesShift) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto& analyzer = baseline();
   const auto& t = analyzer.totals();
   // Paper (§9): 92% of first-party cookies are ghost-written; our corpus
   // reproduces a strong majority.
@@ -145,14 +150,14 @@ TEST_F(IntegrationTest, GhostWrittenShareMatchesShift) {
 }
 
 TEST_F(IntegrationTest, AttributionMostlyCorrectWithAsyncStacks) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto& analyzer = baseline();
   const auto& t = analyzer.totals();
   ASSERT_GT(t.attributed_sets, 0);
   EXPECT_GT(double(t.attribution_correct) / t.attributed_sets, 0.95);
 }
 
 TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto& analyzer = baseline();
   const auto top = analyzer.top_exfiltrated(3);
   ASSERT_FALSE(top.empty());
   // Table 2: _ga (owner googletagmanager.com) leads.
@@ -160,7 +165,7 @@ TEST_F(IntegrationTest, TopExfiltratedCookieIsGa) {
 }
 
 TEST_F(IntegrationTest, GoogleAnalyticsIsTopExfiltratorDomain) {
-  const auto analyzer = run_crawl(nullptr);
+  const auto& analyzer = baseline();
   const auto domains = analyzer.top_exfiltrator_domains(3);
   ASSERT_FALSE(domains.empty());
   EXPECT_EQ(domains[0].first, "google-analytics.com");  // Figure 2

@@ -913,6 +913,28 @@ TEST(SarifTest, EmitsValidSarif210Structure) {
   EXPECT_EQ(location.find("region")->find("startLine")->as_int(), 1);
 }
 
+// ---- roots ---------------------------------------------------------------
+
+// A root that is neither a file nor a readable directory is an IO finding,
+// alone or beside a good root: a mistyped path must fail the run, not lint
+// nothing and pass.
+TEST(LintPathsTest, MissingRootIsAnIoViolation) {
+  const std::string missing = "no/such/lint/root";
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  const auto empty = std::filesystem::temp_directory_path() / "cglint-empty";
+  std::filesystem::create_directories(empty);
+  const std::string good = empty.string();
+
+  for (const auto& roots : {std::vector<std::string>{missing},
+                            std::vector<std::string>{good, missing}}) {
+    const LintReport report = cg::lint::lint_paths(fixture_config(), roots);
+    ASSERT_EQ(report.violations.size(), 1u);
+    EXPECT_EQ(report.violations[0].file, missing);
+    EXPECT_EQ(report.violations[0].rule, "IO");
+    EXPECT_EQ(report.violations[0].line, 0);
+  }
+}
+
 // ---- self-hosting --------------------------------------------------------
 
 // The repo must lint clean with ALL rules armed — the checked-in enum and
